@@ -60,10 +60,19 @@ func main() {
 		return
 	}
 
-	mode, out, seed, parallel := cli.Mode, cli.Out, cli.Seed, cli.Parallel
+	if err := writeArtifacts(cli.Mode, cli.Out, cli.Seed, cli.Parallel, *only, *seqBase); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("artifacts written to %s/\n", cli.Out)
+}
+
+// writeArtifacts runs every paper driver selected by only (a comma list;
+// empty = all) at the given preset mode and seed, writes one .txt per
+// table/figure plus summary.txt to out, and prints the summary.
+func writeArtifacts(mode, out string, seed int64, parallel int, only string, seqBase bool) error {
 	fig1Opt, err := experiments.Fig1Preset(mode)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	table1Opt, _ := experiments.TableIPreset(mode)
 	fig3Opt, _ := experiments.Fig3Preset(mode)
@@ -71,12 +80,19 @@ func main() {
 	fig1Opt.Seed, table1Opt.Seed, fig3Opt.Seed, evalOpt.Seed = seed, seed, seed, seed
 
 	if err := os.MkdirAll(out, 0o755); err != nil {
-		fatal(err)
+		return err
+	}
+	// The first failed write is reported; later ones are skipped.
+	var writeErr error
+	write := func(name, content string) {
+		if writeErr == nil {
+			writeErr = os.WriteFile(filepath.Join(out, name), []byte(content), 0o644)
+		}
 	}
 
 	want := map[string]bool{}
-	if *only != "" {
-		for _, k := range strings.Split(*only, ",") {
+	if only != "" {
+		for _, k := range strings.Split(only, ",") {
 			want[strings.TrimSpace(k)] = true
 		}
 	}
@@ -88,14 +104,14 @@ func main() {
 
 	// --- Section II ---
 	if sel("fig1") {
-		res, err := runTimed(&summary, "Figure 1 (internal interference grid)", parallel, *seqBase,
+		res, err := runTimed(&summary, "Figure 1 (internal interference grid)", parallel, seqBase,
 			func(par int) (*experiments.Fig1Result, error) {
 				o := fig1Opt
 				o.Parallel = par
 				return experiments.Fig1(o)
 			})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		text := res.Aggregate.Render() + "\n" + res.PerWriter.Render()
 		// The figure above is measured under production noise, as the
@@ -109,7 +125,7 @@ func main() {
 		clean.Parallel = parallel
 		cres, err := experiments.Fig1(clean)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if bad := experiments.Fig1ShapeChecks(cres, clean); len(bad) > 0 {
 			text += "\nshape-check (noise-free grid) violations:\n  " + strings.Join(bad, "\n  ") + "\n"
@@ -119,20 +135,20 @@ func main() {
 			fmt.Fprintf(&summary, "Fig 1: internal-interference shapes hold (%d grid points)\n",
 				len(fig1Opt.Ratios)*len(fig1Opt.SizesMB))
 		}
-		write(out, "fig1.txt", text)
+		write("fig1.txt", text)
 	}
 
 	var t1 *experiments.TableIResult
 	if sel("table1") || sel("fig2") {
 		var err error
-		t1, err = runTimed(&summary, "Table I (external interference variability)", parallel, *seqBase,
+		t1, err = runTimed(&summary, "Table I (external interference variability)", parallel, seqBase,
 			func(par int) (*experiments.TableIResult, error) {
 				o := table1Opt
 				o.Parallel = par
 				return experiments.TableI(o)
 			})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if sel("table1") && t1 != nil {
@@ -143,7 +159,7 @@ func main() {
 			sum := metrics.Summarize(s.Imbalances)
 			fmt.Fprintf(&b, "  %-20s avg %.2f  max %.2f\n", s.Machine, sum.Mean, sum.Max)
 		}
-		write(out, "table1.txt", b.String())
+		write("table1.txt", b.String())
 		for _, s := range t1.Series {
 			fmt.Fprintf(&summary, "Table I %-18s CoV %.0f%%\n", s.Machine, s.Summary.CoVPercent())
 		}
@@ -154,25 +170,25 @@ func main() {
 			b.WriteString(h.Render())
 			b.WriteByte('\n')
 		}
-		write(out, "fig2.txt", b.String())
+		write("fig2.txt", b.String())
 	}
 
 	if sel("fig3") {
-		res, err := runTimed(&summary, "Figure 3 (imbalanced concurrent writers)", parallel, *seqBase,
+		res, err := runTimed(&summary, "Figure 3 (imbalanced concurrent writers)", parallel, seqBase,
 			func(par int) (*experiments.Fig3Result, error) {
 				o := fig3Opt
 				o.Parallel = par
 				return experiments.Fig3(o)
 			})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		var b strings.Builder
 		fmt.Fprintf(&b, "Test 1 imbalance factor: %.2f\n", res.Imbalance1)
 		fmt.Fprintf(&b, "Test 2 imbalance factor: %.2f\n", res.Imbalance2)
 		fmt.Fprintf(&b, "Overall average imbalance: %.2f (max %.2f)\n",
 			res.AvgImbalance, res.MaxImbalance)
-		write(out, "fig3.txt", b.String())
+		write("fig3.txt", b.String())
 		fmt.Fprintf(&summary, "Fig 3: imbalance avg %.2f, max %.2f (paper: avg ≈2, up to 3.44)\n",
 			res.AvgImbalance, res.MaxImbalance)
 	}
@@ -180,14 +196,14 @@ func main() {
 	// --- Section IV ---
 	var evalResults []*experiments.EvalResult
 	if sel("fig5") || sel("fig7") {
-		panels, err := runTimed(&summary, "Figure 5 (Pixie3D, MPI-IO vs adaptive)", parallel, *seqBase,
+		panels, err := runTimed(&summary, "Figure 5 (Pixie3D, MPI-IO vs adaptive)", parallel, seqBase,
 			func(par int) (*experiments.Fig5Result, error) {
 				o := evalOpt
 				o.Parallel = par
 				return experiments.Fig5(experiments.Fig5Options{Eval: o})
 			})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		var b strings.Builder
 		for _, er := range panels.Panels {
@@ -200,18 +216,18 @@ func main() {
 			fmt.Fprintln(&summary, experiments.SpeedupLine(er))
 		}
 		if sel("fig5") {
-			write(out, "fig5.txt", b.String())
+			write("fig5.txt", b.String())
 		}
 	}
 	if sel("fig6") || sel("fig7") {
-		er, err := runTimed(&summary, "Figure 6 (XGC1, MPI-IO vs adaptive)", parallel, *seqBase,
+		er, err := runTimed(&summary, "Figure 6 (XGC1, MPI-IO vs adaptive)", parallel, seqBase,
 			func(par int) (*experiments.EvalResult, error) {
 				o := evalOpt
 				o.Parallel = par
 				return experiments.Fig6(o)
 			})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		var b strings.Builder
 		b.WriteString(er.Figure.Render())
@@ -221,7 +237,7 @@ func main() {
 		evalResults = append(evalResults, er)
 		fmt.Fprintln(&summary, experiments.SpeedupLine(er))
 		if sel("fig6") {
-			write(out, "fig6.txt", b.String())
+			write("fig6.txt", b.String())
 		}
 	}
 	if sel("fig7") && len(evalResults) > 0 {
@@ -231,12 +247,12 @@ func main() {
 			b.WriteString(fig.Render())
 			b.WriteByte('\n')
 		}
-		write(out, "fig7.txt", b.String())
+		write("fig7.txt", b.String())
 	}
 
-	write(out, "summary.txt", summary.String())
+	write("summary.txt", summary.String())
 	fmt.Println("\n" + summary.String())
-	fmt.Printf("artifacts written to %s/\n", out)
+	return writeErr
 }
 
 func step(name string) { fmt.Println("==>", name) }
@@ -279,12 +295,6 @@ func runTimed[T any](summary *strings.Builder, name string, parallel int, seqBas
 		fmt.Fprintf(summary, "timing %s: %.2fs on %d worker(s)\n", name, par.Seconds(), w)
 	}
 	return res, nil
-}
-
-func write(dir, name, content string) {
-	if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-		fatal(err)
-	}
 }
 
 func fatal(err error) {

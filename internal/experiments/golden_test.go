@@ -7,9 +7,14 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
+	"time"
 
+	"repro/adios"
+	"repro/internal/pfs"
+	"repro/internal/scenario"
 	"repro/internal/workloads"
 )
 
@@ -151,4 +156,196 @@ func TestGoldenFig5Checksum(t *testing.T) {
 		t.Fatalf("Fig5 golden checksum changed:\n got %s\nwant %s\n"+
 			"simulation outputs are no longer bit-identical to the pinned baseline", got, goldenFig5Digest)
 	}
+}
+
+// The goldens below extend the pin to every remaining execution path: the
+// IOR imbalance series (Fig 3), the XGC1 evaluation (Fig 6), the job-mix
+// frontier (app, ML-read and mdtest bodies), the failure sweep (dead-target
+// client errors and the coordinator's redirects), the metadata open storm,
+// and one campaign each on the POSIX and staging transports. Their digests
+// hash every result field through hashValue, so a new field joins the pin
+// automatically.
+
+const (
+	goldenFig3Digest            = "0f52fee52ce48beed134c57406c37f359c7122bdd1598aa4de8c3d8984b8acb5"
+	goldenFig6Digest            = "96f8776440cc60560f0320e14139507b13e1db033cc942e6adb16cae1ce52b9d"
+	goldenJobMixDigest          = "ded0f55230c6c80f87414ac8f194340420b282372ee122a5e69a05d15b4129b7"
+	goldenFailureDigest         = "ac4bd8eaf4d8836ee97c8396c6fe246742baf0104d68dd434d939b68a7d83359"
+	goldenMetadataDigest        = "265fc24af7e22f87542c65e03320261a3f8c252c1793f5ec72d3058bf18b48e3"
+	goldenPOSIXCampaignDigest   = "fc6d6494e8fe8fd89fc851d358a0206f7ca97a69bc2ad522df548cea65b05605"
+	goldenStagingCampaignDigest = "705cef73a432f185e1e0522ae5975d86a173a4cf8bf81b461976420978655fa1"
+)
+
+// hashValue feeds v into h field by field: float64s as exact bits, maps in
+// sorted key order, pointers by their targets. Funcs, channels and
+// interfaces are rejected so a digest can never depend on an address.
+func hashValue(t *testing.T, h hash.Hash, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Float64, reflect.Float32:
+		hashFloats(h, []float64{v.Float()})
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		hashInts(h, []int{int(v.Int())})
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		hashInts(h, []int{int(v.Uint())})
+	case reflect.Bool:
+		b := 0
+		if v.Bool() {
+			b = 1
+		}
+		hashInts(h, []int{b})
+	case reflect.String:
+		hashString(h, v.String())
+	case reflect.Slice, reflect.Array:
+		hashInts(h, []int{v.Len()})
+		for i := 0; i < v.Len(); i++ {
+			hashValue(t, h, v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			hashString(h, v.Type().Field(i).Name)
+			hashValue(t, h, v.Field(i))
+		}
+	case reflect.Map:
+		keys := v.MapKeys()
+		sort.Slice(keys, func(i, j int) bool { return fmt.Sprint(keys[i]) < fmt.Sprint(keys[j]) })
+		hashInts(h, []int{len(keys)})
+		for _, k := range keys {
+			hashValue(t, h, k)
+			hashValue(t, h, v.MapIndex(k))
+		}
+	case reflect.Pointer:
+		if v.IsNil() {
+			hashInts(h, []int{0})
+			return
+		}
+		hashValue(t, h, v.Elem())
+	default:
+		t.Fatalf("hashValue: unsupported kind %s", v.Kind())
+	}
+}
+
+// checkGolden digests the given values (results and rendered artifacts) and
+// compares against want.
+func checkGolden(t *testing.T, name, want string, vals ...any) {
+	t.Helper()
+	h := sha256.New()
+	for _, v := range vals {
+		hashValue(t, h, reflect.ValueOf(v))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("%s golden checksum changed:\n got %s\nwant %s\n"+
+			"simulation outputs are no longer bit-identical to the pinned baseline", name, got, want)
+	}
+}
+
+func TestGoldenFig3Checksum(t *testing.T) {
+	res, err := Fig3(Fig3Options{OSTs: 16, AverageOver: 4, Seed: 2010, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "Fig3", goldenFig3Digest, res)
+}
+
+func TestGoldenFig6Checksum(t *testing.T) {
+	res, err := Fig6(EvalOptions{
+		ProcCounts:   []int{32, 64},
+		Samples:      2,
+		MPIOSTs:      4,
+		AdaptiveOSTs: 16,
+		NumOSTs:      16,
+		Seed:         2010,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	speedup := SpeedupSummary(res)
+	checkGolden(t, "Fig6", goldenFig6Digest, res.BWSamples, res.ElapsedSamples,
+		res.AdaptiveCounts, res.Figure.Render(), speedup.Render())
+}
+
+func TestGoldenJobMixChecksum(t *testing.T) {
+	res, err := JobMix(JobMixOptions{
+		Jobs: []scenario.JobSpec{
+			{Name: "ckpt", Kind: scenario.JobKindApp, Generator: "pixie3d-small",
+				Procs: 4, Phases: 2, PeriodSeconds: 2},
+			{Name: "train", Kind: scenario.JobKindMLRead, Procs: 4, SizeMB: 2,
+				Phases: 2, PeriodSeconds: 1, StartSeconds: 1},
+			{Name: "meta", Kind: scenario.JobKindMDTest, Procs: 2, FilesPerRank: 4,
+				Phases: 2, PeriodSeconds: 1},
+		},
+		MaxJobs: 3, Samples: 2, NumOSTs: 8, MPIOSTs: 4, AdaptiveOSTs: 8,
+		Seed: 2010, Parallel: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := JobMixTable(res)
+	checkGolden(t, "JobMix", goldenJobMixDigest, res.Cases, res.Figure.Render(), table.Render())
+}
+
+func TestGoldenFailureSweepChecksum(t *testing.T) {
+	res, err := FailureSweep(FailureSweepOptions{Procs: 16, Samples: 2, NumOSTs: 8, Seed: 2010, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := FailureSweepTable(res)
+	checkGolden(t, "FailureSweep", goldenFailureDigest, res.Cases, res.Amplification,
+		res.Figure.Render(), table.Render())
+}
+
+func TestGoldenMetadataChecksum(t *testing.T) {
+	res, err := MetadataStudy(MetadataOptions{
+		Writers:  32,
+		Samples:  2,
+		Staggers: []time.Duration{0, time.Millisecond},
+		Seed:     2010,
+		Parallel: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "Metadata", goldenMetadataDigest, res.StormTimes, res.QueuePeaks, res.Table.Render())
+}
+
+// The POSIX and staging transports run their rank bodies (and staging its
+// drainers) as goroutines, so these campaigns reach the file system through
+// the blocking pfs calls. Both run under artificial interference.
+
+func TestGoldenPOSIXCampaignChecksum(t *testing.T) {
+	res, err := RunCampaign(CampaignOptions{
+		Writers:   16,
+		Method:    adios.MethodPOSIX,
+		Condition: Interference,
+		Seed:      2010,
+		PerRank:   workloads.Pixie3DGen(workloads.Pixie3DSmall).PerRank,
+		NumOSTs:   16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "POSIX campaign", goldenPOSIXCampaignDigest, res)
+}
+
+// TestGoldenStagingCampaignChecksum shrinks the staging area below the
+// output size, so ranks wait on the drainers' file-system writes and the
+// pinned times depend on them. RunCampaign has no staging knobs; it is a
+// thin adapter over scenario.ExecCampaign, which this calls directly.
+func TestGoldenStagingCampaignChecksum(t *testing.T) {
+	res, err := scenario.ExecCampaign(scenario.CampaignConfig{
+		Writers: 16,
+		NumOSTs: 16,
+		Seed:    2010,
+		IO: adios.Options{
+			Method:             adios.MethodStaging,
+			StagingNodes:       1,
+			StagingBufferBytes: 4 * pfs.MB,
+		},
+		PerRank:      workloads.Pixie3DGen(workloads.Pixie3DSmall).PerRank,
+		Interference: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "staging campaign", goldenStagingCampaignDigest, res)
 }
