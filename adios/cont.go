@@ -9,9 +9,9 @@ import (
 
 // Continuation-engine support. A rank body running as a run-to-completion
 // state machine (cluster.World.LaunchCont) closes its output step through
-// CloseCont instead of the blocking Close; the transport drives the same
-// collective flow, so results and event schedules are identical to the
-// goroutine engine's.
+// CloseCont instead of the blocking Close. The blocking Close runs the
+// same step machine on the rank's goroutine (the transports' WriteStep is
+// an Await adaptor over it), so results are identical either way.
 
 // ContCapable reports whether the configured transport can run a step on
 // the continuation engine (the MPI-IO and adaptive methods can; POSIX and

@@ -426,9 +426,7 @@ type RankCont = mpisim.RankCont
 // LaunchCont starts mk(i) on every rank as a run-to-completion
 // continuation: the kernel resumes each body inline on every wakeup, with
 // no goroutine handoff. Same process names, spawn order, and completion
-// semantics as Launch — a workload launched either way schedules the same
-// events in the same order (REPRO_NO_CONT=1 is honoured by callers, not
-// here; see simkernel.ContEnabled).
+// semantics as Launch.
 func (w *World) LaunchCont(mk func(i int) RankCont) *Join {
 	return &Join{wg: w.w.LaunchCont(w.name, mk)}
 }

@@ -10,7 +10,7 @@ import (
 // bodies. The run-to-completion engine resumes a *ContProc inline on the
 // kernel's event loop; anything that parks the calling goroutine there —
 // the goroutine-engine kernel primitives (Mailbox.Recv, Resource.Acquire,
-// Proc.Sleep, the mpisim collectives), raw channel operations, select,
+// Proc.Sleep, Proc.Await, the mpisim collectives), raw channel operations, select,
 // spawning goroutines, sync/time primitives — deadlocks the simulation or
 // silently serializes it. Only the cont variants (RecvCont/RecvOp,
 // AcquireCont, WaitCont, ContProc.SleepUntil chains) are legal.
@@ -44,6 +44,7 @@ var blockedOps = map[blockedOp]string{
 	{contProcPkg, "Proc", "SleepSeconds"}: "ContProc.SleepSeconds",
 	{contProcPkg, "Proc", "SleepUntil"}:   "ContProc.SleepUntil",
 	{contProcPkg, "Proc", "Suspend"}:      "a cont pause (Pause and resume via Waker)",
+	{contProcPkg, "Proc", "Await"}:        "the op's Step directly, advancing past it on false",
 	{contProcPkg, "Kernel", "Run"}:        "",
 	{contProcPkg, "Kernel", "RunUntil"}:   "",
 	{mpisimPkg, "Rank", "Recv"}:           "RecvCont",

@@ -14,6 +14,8 @@ func (p *Proc) Sleep(d time.Duration)  {}
 func (p *Proc) SleepSeconds(s float64) {}
 func (p *Proc) Suspend()               {}
 
+func (p *Proc) Await(step func(*ContProc) bool) {}
+
 type ContProc Proc
 
 func (c *ContProc) Proc() *Proc             { return (*Proc)(c) }
@@ -23,6 +25,12 @@ func (c *ContProc) SleepUntil(at Time) bool { return true }
 type RecvOp struct{ v any }
 
 func (o *RecvOp) Msg() any { return o.v }
+
+// WriteOp is a client op in flight, driven by Step (and by Proc.Await on a
+// goroutine).
+type WriteOp struct{ pc int }
+
+func (o *WriteOp) Step(c *ContProc) bool { return true }
 
 type Mailbox struct{ q []any }
 

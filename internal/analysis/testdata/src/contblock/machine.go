@@ -14,6 +14,7 @@ type pumpMachine struct {
 	ch  chan int
 	mu  sync.Mutex
 	op  RecvOp
+	w   WriteOp
 }
 
 // Step is the continuation body: every goroutine-blocking primitive in it
@@ -24,6 +25,7 @@ func (m *pumpMachine) Step(c *ContProc) {
 	m.res.Acquire(p)     // want `Resource\.Acquire suspends the calling goroutine.*use AcquireCont`
 	p.Sleep(time.Second) // want `Proc\.Sleep suspends the calling goroutine.*use ContProc\.Sleep`
 	m.k.Run()            // want `Kernel\.Run suspends the calling goroutine`
+	p.Await(m.w.Step)    // want `Proc\.Await suspends the calling goroutine.*use the op's Step directly`
 
 	c.Sleep(time.Second)    // cont variant: legal
 	c.SleepUntil(5)         // cont variant: legal

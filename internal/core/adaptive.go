@@ -309,133 +309,17 @@ func (a *Adaptive) getStep(stepName string) *stepState {
 
 // WriteStep implements iomethod.Method. Every rank must call it with the
 // same stepName; it returns once this rank's writer role (and any SC/C
-// roles it hosts) have finished the step.
+// roles it hosts) have finished the step. It runs the rank's step machine
+// (cont.go) on the rank's goroutine.
 func (a *Adaptive) WriteStep(r *mpisim.Rank, stepName string, data iomethod.RankData) (*iomethod.StepResult, error) {
-	st := a.getStep(stepName)
-	rank := r.Rank()
-	g := st.groupOf[rank]
-	isSC := st.groups[g][0] == rank
-	isC := rank == 0
-	p := r.Proc()
-
-	st.dataOf[rank] = data
-
-	// --- Untimed setup phase: SCs create the group files (optionally
-	// staggered to spare the metadata server), everyone synchronises. ---
-	if isSC {
-		if a.cfg.StaggerOpens > 0 {
-			p.Sleep(time.Duration(g) * a.cfg.StaggerOpens)
-		}
-		f, err := a.fs.Create(p, st.fileNames[g], pfs.Layout{OSTs: []int{a.cfg.OSTs[g%len(a.cfg.OSTs)]}})
-		if err != nil {
-			return nil, err
-		}
-		st.files[g] = f
-	}
-	st.setupDone.Done()
-	st.setupDone.Wait(p)
-	if !st.t0Set {
-		st.t0 = p.Now()
-		st.t0Set = true
-		st.res.MDSOpenQueuePeak = a.fs.MDS.Stats.MaxQueue
-	}
-	st.start.Broadcast()
-
-	// --- Timed phase. ---
-	var scDone, cDone *simkernel.WaitGroup
-	if isSC {
-		scDone = simkernel.NewWaitGroup(a.w.Kernel())
-		scDone.Add(1)
-		a.spawnSC(r, st, g, scDone)
-	}
-	if isC {
-		cDone = simkernel.NewWaitGroup(a.w.Kernel())
-		cDone.Add(1)
-		a.spawnC(r, st, cDone)
-	}
-
-	// Writer role (Algorithm 1).
-	if err := a.writerRole(r, st, rank, g, data); err != nil {
-		return nil, err
-	}
-
-	if isSC {
-		scDone.Wait(p)
-	}
-	if isC {
-		cDone.Wait(p)
-	}
-
-	// Track the operation's overall span.
-	if el := (p.Now() - st.t0).Seconds(); el > st.res.Elapsed {
-		st.res.Elapsed = el
-	}
-
-	st.returned++
-	if st.returned == a.w.Size() {
-		delete(a.steps, stepName)
-	}
-	return st.res, nil
-}
-
-// writerRole is Algorithm 1: wait for (target, offset); build the local
-// index from the offset; write; report completion to the triggering SC (and
-// the target SC if different); ship the index to the target SC. A write
-// abandoned with ErrTargetDown is reported to the triggering SC instead
-// (which requeues this writer for another assignment) and the writer goes
-// back to waiting — it finishes only when a write lands.
-func (a *Adaptive) writerRole(r *mpisim.Rank, st *stepState, rank, g int, data iomethod.RankData) error {
-	p := r.Proc()
-	triggeringSC := st.groups[g][0]
-	for {
-		m := r.RecvAs(p, mpisim.AnySource, tagToWriter)
-		env := m.Data.(*scMsg)
-		target, offset := env.target, env.offset
-		a.pool.put(env)
-
-		total := data.TotalBytes()
-		file := st.files[target]
-		if err := file.WriteAt(p, offset, total); err != nil {
-			st.res.WriteFailures++
-			fl := a.pool.get(kindWriteFailed)
-			fl.writer, fl.source, fl.target = rank, g, target
-			r.Send(triggeringSC, tagToSC, fl)
-			continue
-		}
-
-		st.res.WriterTimes[rank] = (p.Now() - st.t0).Seconds()
-		st.res.TotalBytes += float64(total)
-		if target != g {
-			st.res.AdaptiveWrites++
-		}
-
-		targetSC := st.groups[target][0]
-		done := a.pool.get(kindWriteComplete)
-		done.writer, done.source, done.target, done.bytes = rank, g, target, total
-		r.Send(triggeringSC, tagToSC, done)
-		if targetSC != triggeringSC {
-			// Each in-flight message owns its envelope: the fan-out is two
-			// envelopes, freed independently by their receivers.
-			done2 := a.pool.get(kindWriteComplete)
-			done2.writer, done2.source, done2.target, done2.bytes = rank, g, target, total
-			r.Send(targetSC, tagToSC, done2)
-		}
-		// The index travels separately and after the data, so its transfer
-		// overlaps the next writer's data (Section III-B.1).
-		ib := a.pool.get(kindIndexBody)
-		ib.writer, ib.offset = rank, offset
-		r.Send(targetSC, tagToSC, ib)
-		return nil
-	}
+	sc := a.BeginStepCont(r, stepName, data)
+	r.Proc().Await(sc.Step)
+	return sc.Result()
 }
 
 // spawnSC launches the sub-coordinator loop (Algorithm 2) as a helper
-// process on the SC rank. Both engines spawn it as a continuation state
-// machine (scCont, pump.go): its receive loop is message-driven either way,
-// so the pump form is the only one — REPRO_NO_CONT selects the engine for
-// the rank bodies, not for the pumps, and the event streams stay identical
-// because SpawnCont, RecvCont and the pfs cont ops schedule exactly the
-// events their blocking counterparts do.
+// continuation process (scCont, pump.go) on the SC rank, whichever engine
+// carries the rank bodies.
 func (a *Adaptive) spawnSC(r *mpisim.Rank, st *stepState, g int, done *simkernel.WaitGroup) {
 	s := &st.scs[g]
 	s.arm(a, r, st, g, done)
@@ -451,9 +335,8 @@ const (
 	phaseComplete
 )
 
-// spawnC launches the coordinator loop (Algorithm 3) as a helper process on
-// rank 0 — like spawnSC, always as a continuation state machine (cCont,
-// pump.go) regardless of which engine runs the rank bodies.
+// spawnC launches the coordinator loop (Algorithm 3) as a helper
+// continuation process (cCont, pump.go) on rank 0, like spawnSC.
 func (a *Adaptive) spawnC(r *mpisim.Rank, st *stepState, done *simkernel.WaitGroup) {
 	s := &st.cc
 	s.arm(a, r, st, done)

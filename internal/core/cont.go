@@ -9,12 +9,12 @@ import (
 	"repro/internal/simkernel"
 )
 
-// The continuation form of WriteStep: the straight-line writer role (and
-// the setup/join bookkeeping around it) runs as a run-to-completion state
-// machine. The sub-coordinator (Algorithm 2) and coordinator (Algorithm 3)
-// pumps are continuation machines on both engines (pump.go), spawned from
-// inside this machine exactly where WriteStep spawns them. Both engines
-// schedule identical events.
+// The adaptive collective step: the setup phase, the writer role
+// (Algorithm 1) and the join bookkeeping around it run as one
+// run-to-completion state machine. LaunchCont rank bodies drive it
+// directly; WriteStep awaits it on the rank's goroutine. The
+// sub-coordinator (Algorithm 2) and coordinator (Algorithm 3) pumps are
+// continuation machines too (pump.go), spawned from inside this one.
 
 // stepCont is one rank's adaptive collective step in flight.
 type stepCont struct {
@@ -58,8 +58,18 @@ func (a *Adaptive) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.
 	return s
 }
 
-// Step drives the rank's participation in the collective step; it mirrors
-// WriteStep (and its writerRole) statement for statement.
+// Step drives the rank's participation in the collective step.
+//
+// Untimed setup: SCs create the group files (optionally staggered to spare
+// the metadata server), then everyone synchronises. Timed phase: the SC
+// and C ranks spawn their pumps, and every rank plays the writer role,
+// Algorithm 1: wait for (target, offset); write; report completion to the
+// triggering SC (and the target SC if different); ship the index to the
+// target SC. A write abandoned with ErrTargetDown is reported to the
+// triggering SC instead (which requeues this writer for another
+// assignment) and the writer goes back to waiting — it finishes only when
+// a write lands. Finally the rank joins its own pumps and records the
+// step's overall span.
 //
 //repro:hotpath
 func (s *stepCont) Step(c *simkernel.ContProc) bool {
@@ -135,8 +145,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			}
 			if s.write.Err() != nil {
 				// Target down: report to the triggering SC (which requeues
-				// this writer) and go back to waiting for an assignment,
-				// mirroring the goroutine writerRole's retry loop.
+				// this writer) and go back to waiting for an assignment.
 				st.res.WriteFailures++
 				fl := a.pool.get(kindWriteFailed)
 				fl.writer, fl.source, fl.target = s.rank, s.g, s.target
@@ -159,7 +168,8 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			s.r.Send(triggeringSC, tagToSC, done)
 			if targetSC != triggeringSC {
 				// Each in-flight message owns its envelope (the receiver
-				// recycles it), so the fan-out is two envelopes.
+				// recycles it), so the fan-out is two envelopes, freed
+				// independently by their receivers.
 				done2 := a.pool.get(kindWriteComplete)
 				done2.writer, done2.source, done2.target, done2.bytes = s.rank, s.g, s.target, s.total
 				s.r.Send(targetSC, tagToSC, done2)

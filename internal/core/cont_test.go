@@ -13,12 +13,11 @@ import (
 	"repro/internal/simkernel"
 )
 
-// The engine-equivalence pin at the adaptive-method level: the same
-// collective step, once on goroutine ranks calling WriteStep and once on
-// continuation ranks driving BeginStepCont (with the SC/C loops on
-// goroutines either way), must end at the same virtual time with the same
-// step result and server statistics — including runs where the coordinator
-// redirects writes to idle targets.
+// The shim pin at the adaptive-method level: the same collective step,
+// once on goroutine ranks calling WriteStep (an Await adaptor over the step
+// machine) and once on continuation ranks driving BeginStepCont, must end
+// at the same virtual time with the same step result and server statistics
+// — including runs where the coordinator redirects writes to idle targets.
 
 // stepRunner drives one BeginStepCont machine as a rank continuation.
 type stepRunner struct {

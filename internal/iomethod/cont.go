@@ -23,7 +23,8 @@ type StepCont interface {
 }
 
 // ContMethod is implemented by transports whose WriteStep can run as a
-// continuation. BeginStepCont arms and returns the rank's step machine; it
+// continuation; their WriteStep awaits the same machine on the rank's
+// goroutine. BeginStepCont arms and returns the rank's step machine; it
 // performs no simulation work itself (no events, no random draws), so a
 // body may call it at any point before first driving the machine.
 type ContMethod interface {

@@ -168,68 +168,7 @@ func Launch(fs *pfs.FileSystem, cfg Config) (*Run, error) {
 		start.Broadcast()
 	})
 
-	// The writer bodies run as run-to-completion continuations by default;
-	// REPRO_NO_CONT=1 restores the goroutine writers. Both engines schedule
-	// the same events in the same order.
-	if simkernel.ContEnabled() {
-		launchContWriters(fs, run, osts, ready, start)
-		return run, nil
-	}
-
-	// In SharedFile mode "rank 0" creates the file before its ready.Done();
-	// the start signal fires only after every writer is ready, so the
-	// handle is visible to all writers by the time the timed region begins.
-	var shared *pfs.File
-
-	for i := 0; i < cfg.Writers; i++ {
-		i := i
-		fs.K.Spawn(fmt.Sprintf("ior%s-w%d", cfg.Tag, i), func(p *simkernel.Proc) {
-			defer run.done.Done()
-			var f *pfs.File
-			var offset int64
-			switch cfg.Mode {
-			case FilePerProcess:
-				// Writers split evenly across targets: writer i uses
-				// osts[i % len(osts)].
-				target := osts[i%len(osts)]
-				var err error
-				f, err = fs.Create(p, fmt.Sprintf("ior%s.%06d", cfg.Tag, i),
-					pfs.Layout{OSTs: []int{target}})
-				if err != nil {
-					panic(err)
-				}
-			case SharedFile:
-				if i == 0 {
-					var err error
-					shared, err = fs.Create(p, "ior"+cfg.Tag+".shared",
-						pfs.Layout{OSTs: osts})
-					if err != nil {
-						panic(err)
-					}
-				}
-				offset = int64(i) * int64(cfg.BytesPerWriter)
-			}
-			ready.Done()
-			start.Wait(p)
-			if cfg.Mode == SharedFile {
-				f = shared
-			}
-
-			t0 := p.Now()
-			if err := f.WriteAt(p, offset, int64(cfg.BytesPerWriter)); err != nil {
-				// Target down: this writer's bytes are lost; it still closes
-				// and joins so the run completes.
-				run.result.FailedWriters++
-			} else {
-				if cfg.Flush {
-					f.Flush(p)
-				}
-				run.result.TotalBytes += cfg.BytesPerWriter
-			}
-			run.result.WriterTimes[i] = (p.Now() - t0).Seconds()
-			f.Close(p)
-		})
-	}
+	launchWriters(fs, run, osts, ready, start)
 	return run, nil
 }
 

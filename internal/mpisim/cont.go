@@ -1,16 +1,16 @@
 package mpisim
 
 // Continuation-engine entry points. A rank body that is straight-line —
-// the IOR writers, the adaptive method's writer role, the workload
-// generators — can run as a simkernel continuation instead of a goroutine:
-// the kernel resumes its Step inline on every wakeup, with no channel
-// handoff. The message-passing state (per-rank queues, waiter lists,
-// delivery events) is shared between both engines, so a world may mix
-// LaunchCont ranks with goroutine ranks and the event schedule is
-// identical either way. The adaptive method's sub-coordinator and
-// coordinator pumps are continuation machines on both engines (core's
-// pump.go), spawned directly via Kernel.SpawnCont alongside whichever
-// engine carries the rank bodies.
+// the transports' collective steps, the workload generators — can run as a
+// simkernel continuation instead of a goroutine: the kernel resumes its
+// Step inline on every wakeup, with no channel handoff. The
+// message-passing state (per-rank queues, waiter lists, delivery events)
+// is shared between both engines, so a world may mix LaunchCont ranks with
+// goroutine ranks, and a goroutine rank may Await a continuation op that
+// receives through RecvCont. The adaptive method's sub-coordinator and
+// coordinator pumps are continuation machines (core's pump.go), spawned
+// directly via Kernel.SpawnCont alongside whichever engine carries the
+// rank bodies.
 
 import (
 	"repro/internal/simkernel"

@@ -10,8 +10,9 @@ import (
 )
 
 // The engine-equivalence pin at the mpisim level: the same two-phase ring
-// workload, once on goroutine ranks and once on continuation ranks, must
-// produce an identical execution log. Phase 1 exercises the inline receive
+// workload, once on goroutine ranks (World.Launch, the public sequential
+// API, with blocking Recv) and once on continuation ranks (LaunchCont with
+// RecvCont), must produce an identical execution log. Phase 1 exercises the inline receive
 // (message already queued when the receive begins); phase 2 the blocking
 // receive (token ring, every rank waits on its predecessor).
 

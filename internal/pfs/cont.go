@@ -7,33 +7,32 @@ import (
 	"repro/internal/simkernel"
 )
 
-// Continuation-side file system operations. Each blocking client call
-// (MDS.Op, OST.Write/Flush, File.Create/WriteAt/Flush/ReadAt/Close) has a
-// state-machine counterpart here that a simkernel.Cont body drives with
-// repeated Step calls: Step returns true when the operation has completed,
-// or arranges a wakeup, marks the process parked, and returns false — the
-// body must then yield with its program counter advanced past the op
-// (advance style; see simkernel/sync.go), because wakeups re-enter Step to
-// continue the same operation, never to restart it.
-//
-// Every machine schedules exactly the events its blocking counterpart
-// does, in the same order, with the same RNG draws — the engines are
-// bit-identical (pinned by TestContClientMatchesGoroutine). The op values
-// are designed for reuse: embed one per client, call Begin* to arm it, and
-// its scratch (chunk lists, OST lists) is recycled across operations.
+// The file system's client operations. Each one (MDS.Op, OST.Write/Flush,
+// FileSystem.Create/Open, File.WriteAt/Append/Flush/ReadAt/Close) is a
+// state machine here that a simkernel.Cont body drives with repeated Step
+// calls: Step returns true when the operation has completed, or arranges a
+// wakeup, marks the process parked, and returns false — the body must then
+// yield with its program counter advanced past the op (advance style; see
+// simkernel/sync.go), because wakeups re-enter Step to continue the same
+// operation, never to restart it. The blocking methods in fs.go, ost.go and
+// mds.go are simkernel.Proc.Await adaptors over these machines, so both
+// engines run the same body. The op values are designed for reuse: embed
+// one per client, call Begin* to arm it, and its scratch (chunk lists, OST
+// lists) is recycled across operations.
 
-// mdsOp is one metadata operation in flight (the cont form of MDS.Op).
+// mdsOp is one metadata operation in flight: queueing at the service
+// resource, then the lognormal service time.
 type mdsOp struct {
 	pc int
+	m  *MDS
 }
 
-// opCont drives one metadata operation for a continuation body: queueing at
-// the service resource, then the lognormal service time. The service draw
-// happens after the slot grant, exactly as in Op — queue order determines
-// draw order.
+// step drives the operation. The service draw happens after the slot
+// grant, so queue order determines draw order.
 //
 //repro:hotpath
-func (m *MDS) opCont(s *mdsOp, c *simkernel.ContProc) bool {
+func (s *mdsOp) step(c *simkernel.ContProc) bool {
+	m := s.m
 	for {
 		switch s.pc {
 		case 0:
@@ -67,10 +66,9 @@ func (m *MDS) opCont(s *mdsOp, c *simkernel.ContProc) bool {
 	}
 }
 
-// ostWrite is one blocking OST write in flight (the cont form of
-// OST.Write): the fixed per-operation latency, then ingest until the last
-// byte is accepted — or, against a Dead target, the configured timeout
-// followed by ErrTargetDown in err.
+// ostWrite is one OST write in flight: the fixed per-operation latency,
+// then ingest until the last byte is accepted — or, against a Dead target,
+// the configured timeout followed by ErrTargetDown in err.
 type ostWrite struct {
 	pc    int
 	o     *OST
@@ -122,8 +120,8 @@ func (s *ostWrite) step(c *simkernel.ContProc) bool {
 	}
 }
 
-// ostFlush is one blocking OST flush in flight (the cont form of
-// OST.Flush): wait until every byte ingested before the call has drained.
+// ostFlush is one OST flush in flight: wait until every byte ingested
+// before the call has drained.
 type ostFlush struct {
 	pc int
 	o  *OST
@@ -154,10 +152,9 @@ func (s *ostFlush) step(c *simkernel.ContProc) bool {
 	}
 }
 
-// CreateOp is a metadata create in flight (the cont form of
-// FileSystem.Create). After Step returns true, File/Err hold the result.
+// CreateOp is a metadata create in flight (FileSystem.Create). After Step
+// returns true, File/Err hold the result.
 type CreateOp struct {
-	pc     int
 	fs     *FileSystem
 	name   string
 	osts   []int
@@ -169,30 +166,24 @@ type CreateOp struct {
 
 // BeginCreate arms the op; drive it with Step until true.
 func (op *CreateOp) BeginCreate(fs *FileSystem, name string, layout Layout) {
-	op.pc = 0
 	op.fs = fs
 	op.name = name
 	op.file = nil
-	op.err = nil
-	op.layout(layout)
-}
-
-// layout resolves the layout at arm time, exactly where the blocking path
-// resolves it: before the MDS queueing, consuming the round-robin
-// allocation cursor in call order.
-func (op *CreateOp) layout(l Layout) {
-	op.osts, op.stripe, op.err = op.fs.resolveLayout(l)
+	op.mds = mdsOp{m: fs.MDS}
+	// The layout resolves at arm time, before the MDS queueing, consuming
+	// the round-robin allocation cursor in call order.
+	op.osts, op.stripe, op.err = fs.resolveLayout(layout)
 }
 
 // Step drives the create. On a layout error it completes immediately with
-// Err set and no MDS traffic, as the blocking path does.
+// Err set and no MDS traffic.
 //
 //repro:hotpath
 func (op *CreateOp) Step(c *simkernel.ContProc) bool {
 	if op.err != nil {
 		return true
 	}
-	if !op.fs.MDS.opCont(&op.mds, c) {
+	if !op.mds.step(c) {
 		return false
 	}
 	f := &File{
@@ -214,9 +205,8 @@ func (op *CreateOp) File() *File { return op.file }
 // Err returns the create error, if any; valid after Step returned true.
 func (op *CreateOp) Err() error { return op.err }
 
-// OpenOp is a metadata open in flight (the cont form of FileSystem.Open).
+// OpenOp is a metadata open in flight (FileSystem.Open).
 type OpenOp struct {
-	pc    int
 	fs    *FileSystem
 	name  string
 	found *File
@@ -227,20 +217,20 @@ type OpenOp struct {
 
 // BeginOpen arms the op; drive it with Step until true.
 func (op *OpenOp) BeginOpen(fs *FileSystem, name string) {
-	op.pc = 0
 	op.fs = fs
 	op.name = name
 	op.found = fs.files[name]
+	op.mds = mdsOp{m: fs.MDS}
 	op.file = nil
 	op.err = nil
 }
 
 // Step drives the open. Failed lookups still cost the MDS; the handle copy
-// is taken after the metadata op completes, exactly as in Open.
+// is taken after the metadata op completes.
 //
 //repro:hotpath
 func (op *OpenOp) Step(c *simkernel.ContProc) bool {
-	if !op.fs.MDS.opCont(&op.mds, c) {
+	if !op.mds.step(c) {
 		return false
 	}
 	if op.found == nil {
@@ -265,7 +255,7 @@ func (op *OpenOp) File() *File { return op.file }
 // Err returns the open error, if any; valid after Step returned true.
 func (op *OpenOp) Err() error { return op.err }
 
-// WriteOp is a striped write in flight (the cont form of File.WriteAt):
+// WriteOp is a striped write in flight (File.WriteAt and File.Append):
 // per-OST chunks issued sequentially, each a latency-plus-ingest machine.
 // A chunk against a Dead target sets Err to ErrTargetDown after the
 // configured timeout and abandons the remaining chunks.
@@ -308,7 +298,7 @@ func (op *WriteOp) BeginAppend(f *File, length int64) int64 {
 
 // Step drives the write: chunks issue sequentially (a single client
 // stream), and the handle/master sizes update after the last byte is
-// accepted, exactly as in WriteAt.
+// accepted.
 //
 //repro:hotpath
 func (op *WriteOp) Step(c *simkernel.ContProc) bool {
@@ -342,8 +332,8 @@ func (op *WriteOp) Step(c *simkernel.ContProc) bool {
 // Err returns the write error, if any; valid after Step returned true.
 func (op *WriteOp) Err() error { return op.err }
 
-// FlushOp is a flush in flight (the cont form of File.Flush): touched
-// targets waited on sequentially in sorted order.
+// FlushOp is a flush in flight (File.Flush): touched targets waited on
+// sequentially in sorted order.
 type FlushOp struct {
 	f       *File
 	osts    []int
@@ -386,9 +376,9 @@ func (op *FlushOp) Step(c *simkernel.ContProc) bool {
 	return true
 }
 
-// ReadOp is a read in flight (the cont form of File.ReadAt): per chunk,
-// the share-based rate is fixed at issue time — before the latency sleep —
-// then latency plus transfer.
+// ReadOp is a read in flight (File.ReadAt): per chunk, the share-based
+// rate is fixed at issue time — before the latency sleep — then latency
+// plus transfer.
 type ReadOp struct {
 	pc     int
 	f      *File
@@ -458,10 +448,9 @@ func (op *ReadOp) Step(c *simkernel.ContProc) bool {
 // Err returns the read error, if any; valid after Step returned true.
 func (op *ReadOp) Err() error { return op.err }
 
-// CloseOp is a metadata close in flight (the cont form of File.Close). A
-// handle already closed completes inline with no MDS traffic.
+// CloseOp is a metadata close in flight (File.Close). A handle already
+// closed completes inline with no MDS traffic.
 type CloseOp struct {
-	pc   int
 	f    *File
 	skip bool
 	mds  mdsOp
@@ -469,8 +458,8 @@ type CloseOp struct {
 
 // BeginClose arms the op; drive it with Step until true.
 func (op *CloseOp) BeginClose(f *File) {
-	op.pc = 0
 	op.f = f
+	op.mds = mdsOp{m: f.fs.MDS}
 	op.skip = f.closed
 	if !op.skip {
 		f.closed = true
@@ -484,5 +473,5 @@ func (op *CloseOp) Step(c *simkernel.ContProc) bool {
 	if op.skip {
 		return true
 	}
-	return op.f.fs.MDS.opCont(&op.mds, c)
+	return op.mds.step(c)
 }

@@ -8,13 +8,14 @@ import (
 	"repro/internal/simkernel"
 )
 
-// The engine-equivalence pin at the pfs level: the same client workload —
-// create, two strided writes, flush, read, close, then reopen and read
-// through a fresh handle — once on goroutine clients and once on
-// continuation clients, against identically seeded file systems, must
-// produce an identical time-stamped log and identical server-side
-// statistics. This covers every cont op in cont.go, including op reuse
-// across sequential calls.
+// The shim pin at the pfs level: the same client workload — create, two
+// strided writes, flush, read, close, then reopen and read through a fresh
+// handle — once on goroutine clients calling the blocking methods (each a
+// Proc.Await adaptor over its op) and once on continuation clients driving
+// the ops in cont.go directly, against identically seeded file systems,
+// must produce an identical time-stamped log and identical server-side
+// statistics. The continuation side also covers op reuse across sequential
+// calls.
 
 func pfsContTestConfig() Config {
 	return Config{NumOSTs: 6, Seed: 7}

@@ -158,33 +158,18 @@ func (fs *FileSystem) resolveLayout(l Layout) ([]int, int64, error) {
 // Create performs a metadata create (queueing at the MDS) and returns a
 // handle. Creating an existing name truncates it, like O_TRUNC.
 func (fs *FileSystem) Create(p *simkernel.Proc, name string, layout Layout) (*File, error) {
-	osts, stripeSize, err := fs.resolveLayout(layout)
-	if err != nil {
-		return nil, err
-	}
-	fs.MDS.Op(p)
-	f := &File{
-		fs:      fs,
-		Name:    name,
-		osts:    osts,
-		stripe:  stripeSize,
-		touched: make(map[int]struct{}),
-	}
-	fs.files[name] = f
-	return f, nil
+	var op CreateOp
+	op.BeginCreate(fs, name, layout)
+	p.Await(op.Step)
+	return op.File(), op.Err()
 }
 
 // Open performs a metadata open of an existing file.
 func (fs *FileSystem) Open(p *simkernel.Proc, name string) (*File, error) {
-	f, ok := fs.files[name]
-	if !ok {
-		fs.MDS.Op(p) // failed lookups still cost the MDS
-		return nil, fmt.Errorf("pfs: no such file %q", name)
-	}
-	fs.MDS.Op(p)
-	h := *f
-	h.closed = false
-	return &h, nil
+	var op OpenOp
+	op.BeginOpen(fs, name)
+	p.Await(op.Step)
+	return op.File(), op.Err()
 }
 
 // Exists reports whether a file name is known (no simulated cost).
@@ -213,18 +198,13 @@ type chunk struct {
 	bytes int64
 }
 
-// chunksFor decomposes a [offset, offset+length) write into per-stripe
-// chunks, merging consecutive chunks on the same OST, then coarsening to at
-// most MaxChunksPerOp pieces (the coarsening keeps per-OST byte totals
-// approximately proportional; it exists to bound event counts on terabyte
-// writes and is bypassed for single-OST files).
-func (f *File) chunksFor(offset, length int64) []chunk {
-	return f.appendChunks(nil, offset, length)
-}
-
-// appendChunks is chunksFor appending into dst, reusing its capacity — the
-// continuation ops (cont.go) hold a scratch chunk list per client so
-// steady-state writes decompose without allocating.
+// appendChunks decomposes a [offset, offset+length) write into per-stripe
+// chunks appended to dst, merging consecutive chunks on the same OST, then
+// coarsening to at most MaxChunksPerOp pieces (the coarsening keeps per-OST
+// byte totals approximately proportional; it exists to bound event counts
+// on terabyte writes and is bypassed for single-OST files). It reuses dst's
+// capacity: the client ops (cont.go) hold a scratch chunk list per client
+// so steady-state writes decompose without allocating.
 func (f *File) appendChunks(dst []chunk, offset, length int64) []chunk {
 	if length <= 0 {
 		return dst
@@ -299,57 +279,37 @@ func coarsen(in []chunk, max int) []chunk {
 // ErrTargetDown after the configured timeout; bytes already accepted by
 // earlier chunks stay accepted, but the handle's size is not advanced.
 func (f *File) WriteAt(p *simkernel.Proc, offset, length int64) error {
-	if f.closed {
-		panic(fmt.Sprintf("pfs: write to closed file %q", f.Name))
-	}
-	if length < 0 {
-		panic("pfs: negative write length")
-	}
-	for _, c := range f.chunksFor(offset, length) {
-		f.touched[c.ost] = struct{}{}
-		if err := f.fs.OSTs[c.ost].Write(p, float64(c.bytes)); err != nil {
-			return err
-		}
-	}
-	if end := offset + length; end > f.size {
-		f.size = end
-	}
-	if master := f.fs.files[f.Name]; master != nil && f.size > master.size {
-		master.size = f.size
-	}
-	return nil
+	var op WriteOp
+	op.BeginWrite(f, offset, length)
+	p.Await(op.Step)
+	return op.Err()
 }
 
 // Append writes length bytes at the file's current end (single-writer
 // convenience; concurrent appenders should coordinate offsets themselves as
 // the adaptive method does).
 func (f *File) Append(p *simkernel.Proc, length int64) (int64, error) {
-	off := f.size
-	return off, f.WriteAt(p, off, length)
+	var op WriteOp
+	off := op.BeginAppend(f, length)
+	p.Await(op.Step)
+	return off, op.Err()
 }
 
 // Flush blocks until all bytes this handle has written are on disk. Targets
 // are waited on sequentially; draining proceeds in parallel across OSTs, so
 // the total wait is governed by the slowest target.
 func (f *File) Flush(p *simkernel.Proc) {
-	osts := make([]int, 0, len(f.touched))
-	for o := range f.touched {
-		osts = append(osts, o)
-	}
-	sort.Ints(osts)
-	for _, o := range osts {
-		f.fs.OSTs[o].Flush(p)
-	}
+	var op FlushOp
+	op.BeginFlush(f)
+	p.Await(op.Step)
 }
 
 // Close flushes nothing (callers flush explicitly, as the paper's
 // methodology does) and performs the metadata close.
 func (f *File) Close(p *simkernel.Proc) {
-	if f.closed {
-		return
-	}
-	f.closed = true
-	f.fs.MDS.Op(p)
+	var op CloseOp
+	op.BeginClose(f)
+	p.Await(op.Step)
 }
 
 // ReadAt models reading length bytes at offset. Reads bypass the write
@@ -359,27 +319,10 @@ func (f *File) Close(p *simkernel.Proc) {
 // timeout and returns ErrTargetDown; a Degraded or Rebuilding target serves
 // the read at its health-reduced bandwidth.
 func (f *File) ReadAt(p *simkernel.Proc, offset, length int64) error {
-	if length <= 0 {
-		return nil
-	}
-	for _, c := range f.chunksFor(offset, length) {
-		o := f.fs.OSTs[c.ost]
-		o.accountRead(p.Job(), float64(c.bytes))
-		if o.Health() == Dead {
-			p.Sleep(f.fs.Cfg.WriteLatency)
-			p.SleepSeconds(f.fs.Cfg.DeadTimeout)
-			o.Stats.ReadsFailed++
-			return o.downErr
-		}
-		streams := o.ActiveFlows() + o.ExternalStreams() + 1
-		rate := f.fs.Cfg.DiskBW * f.fs.Cfg.DiskEff.Eval(streams) * o.SlowFactor() * o.HealthFactor() / float64(streams)
-		if cap := f.fs.Cfg.ClientCap; rate > cap {
-			rate = cap
-		}
-		p.Sleep(f.fs.Cfg.WriteLatency)
-		p.SleepSeconds(float64(c.bytes) / rate)
-	}
-	return nil
+	var op ReadOp
+	op.BeginRead(f, offset, length)
+	p.Await(op.Step)
+	return op.Err()
 }
 
 // TotalBytesDrained sums drained bytes across all OSTs (diagnostics).

@@ -226,8 +226,9 @@ func TestSetHealthResetRestoresHealthy(t *testing.T) {
 	}
 }
 
-// healthFailCont reproduces the failing-write/failing-read client on the
-// continuation engine so both engines can be diffed against each other.
+// healthFailCont reproduces the failing-write/failing-read client as a
+// continuation driving the ops directly, to diff against the blocking
+// adaptors.
 type healthFailCont struct {
 	pc  int
 	fs  *FileSystem
@@ -283,9 +284,10 @@ func (m *healthFailCont) Step(c *simkernel.ContProc) bool {
 	}
 }
 
-// TestContHealthFailureMatchesGoroutine pins engine equivalence on the
+// TestContHealthFailureMatchesGoroutine pins the blocking adaptors on the
 // failure path: a write that succeeds, a crash, then a failing write and a
-// failing read must produce identical time-stamped outcomes on both engines.
+// failing read must produce identical time-stamped outcomes through the
+// goroutine client's Await adaptors and through the ops driven directly.
 func TestContHealthFailureMatchesGoroutine(t *testing.T) {
 	run := func(cont bool) []string {
 		k := simkernel.New()

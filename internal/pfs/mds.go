@@ -71,20 +71,8 @@ func (m *MDS) StallUntil() simkernel.Time { return m.stallUntil }
 // Op performs one metadata operation (open, create, stat, close) on behalf
 // of process p, blocking for queueing plus service time.
 func (m *MDS) Op(p *simkernel.Proc) {
-	m.accountOp(p.Job())
-	if m.stallUntil > m.k.Now() {
-		m.Stats.StallSeconds += (m.stallUntil - m.k.Now()).Seconds()
-		p.SleepUntil(m.stallUntil)
-	}
-	m.res.Acquire(p)
-	svc := m.src.LognormalMeanCV(m.mean, m.cv)
-	m.Stats.OpsServed++
-	m.Stats.TotalService += svc
-	if q := m.res.QueueLen(); q > m.Stats.MaxQueue {
-		m.Stats.MaxQueue = q
-	}
-	p.SleepSeconds(svc)
-	m.res.Release()
+	op := mdsOp{m: m}
+	p.Await(op.step)
 }
 
 // QueueLen reports the current number of queued metadata requests.

@@ -11,12 +11,10 @@ import (
 	"repro/internal/simkernel"
 )
 
-// Continuation renditions of the scenario executors' rank bodies. Each
-// machine mirrors its goroutine counterpart in exec.go statement for
-// statement — same guards, same event schedule — and the executors select
-// the engine per launch via simkernel.ContEnabled() (plus the transport's
-// ContCapable for the adios-backed bodies), falling back to the goroutine
-// bodies otherwise.
+// The scenario executors' rank bodies, as continuation machines. The
+// adios-backed bodies (campaignCont, jobAppCont) need a transport whose
+// step can run as a continuation (adios.IO.ContCapable); exec.go runs
+// other transports' steps on goroutine rank bodies instead.
 
 // campaignOut collects the campaign step's shared outcome (all ranks
 // return the same step-result pointer).
@@ -278,8 +276,8 @@ func (m *stormOpener) Step(c *simkernel.ContProc) bool {
 		switch m.pc {
 		case 0:
 			m.pc = 1
-			// Matches the goroutine guard: with stagger enabled even the
-			// zero-delay opener schedules a sleep event.
+			// With stagger enabled even the zero-delay opener schedules
+			// a sleep event.
 			if m.stagger {
 				c.Sleep(m.delay)
 				return false

@@ -156,7 +156,7 @@ func execCampaign(cfg CampaignConfig, tc *traceCapture) (Sample, error) {
 	var out campaignOut
 	stepName := fmt.Sprintf("%s.out", cfg.IO.Method)
 	var j *cluster.Join
-	if simkernel.ContEnabled() && io.ContCapable() {
+	if io.ContCapable() {
 		j = w.LaunchCont(func(i int) cluster.RankCont {
 			return &campaignCont{io: io, stepName: stepName, perRank: cfg.PerRank, out: &out}
 		})
@@ -415,36 +415,15 @@ func (s *Scenario) execOpenStorm(cfg replicaCfg, seed int64, pool *cluster.Pool,
 	wg := simkernel.NewWaitGroup(k)
 	wg.Add(cfg.writers)
 	var last simkernel.Time
-	numOSTs := len(fs.OSTs)
-	stagger := cfg.stagger
-	useCont := simkernel.ContEnabled()
 	for i := 0; i < cfg.writers; i++ {
-		i := i
-		if useCont {
-			k.SpawnCont("opener", &stormOpener{
-				fs:      fs,
-				name:    fmt.Sprintf("storm.%06d", i),
-				ost:     i % numOSTs,
-				stagger: stagger > 0,
-				delay:   time.Duration(i) * stagger,
-				wg:      wg,
-				last:    &last,
-			})
-			continue
-		}
-		k.Spawn("opener", func(p *simkernel.Proc) {
-			defer wg.Done()
-			if stagger > 0 {
-				p.Sleep(time.Duration(i) * stagger)
-			}
-			f, err := fs.Create(p, fmt.Sprintf("storm.%06d", i), pfs.Layout{OSTs: []int{i % numOSTs}})
-			if err != nil {
-				panic(err)
-			}
-			f.Close(p)
-			if p.Now() > last {
-				last = p.Now()
-			}
+		k.SpawnCont("opener", &stormOpener{
+			fs:      fs,
+			name:    fmt.Sprintf("storm.%06d", i),
+			ost:     i % len(fs.OSTs),
+			stagger: cfg.stagger > 0,
+			delay:   time.Duration(i) * cfg.stagger,
+			wg:      wg,
+			last:    &last,
 		})
 	}
 	// Join explicitly: a tracer's sampler would keep the kernel alive
@@ -501,9 +480,9 @@ func (s *Scenario) execJobMix(cfg replicaCfg, seed int64, pool *cluster.Pool, tc
 		runs[ji] = run
 		w := c.NewJobWorld(jc.name, run.id, jc.procs)
 
-		// Each kind launches either its goroutine body or its continuation
-		// machine (cont.go) — same guards, same event schedule either way.
-		useCont := simkernel.ContEnabled()
+		// Each kind launches its continuation machine (cont.go); an app
+		// job on a transport without a continuation step runs goroutine
+		// rank bodies instead.
 		var body func(r *cluster.Rank)
 		var mk func(i int) cluster.RankCont
 		switch jc.kind {
@@ -516,7 +495,7 @@ func (s *Scenario) execJobMix(cfg replicaCfg, seed int64, pool *cluster.Pool, tc
 			if err != nil {
 				return Sample{}, err
 			}
-			if useCont && io.ContCapable() {
+			if io.ContCapable() {
 				names := appStepNames(jc.name, jc.phases)
 				mk = func(i int) cluster.RankCont {
 					return &jobAppCont{
@@ -538,63 +517,21 @@ func (s *Scenario) execJobMix(cfg replicaCfg, seed int64, pool *cluster.Pool, tc
 				}
 			}
 		case JobKindMLRead:
-			if useCont {
-				mk = func(i int) cluster.RankCont {
-					// The dataset shard pre-exists the training run; its
-					// create is the job's only metadata cost.
-					return &jobMLReadCont{
-						phases: jc.phases, start: jc.start, period: jc.period,
-						fs: fs, name: fmt.Sprintf("%s.shard.%05d", jc.name, i),
-						ost: i % numOSTs, bytes: int64(jc.bytes), errp: &run.err,
-					}
-				}
-				break
-			}
-			body = func(r *cluster.Rank) {
-				p := r.Proc()
+			mk = func(i int) cluster.RankCont {
 				// The dataset shard pre-exists the training run; its
 				// create is the job's only metadata cost.
-				shard, err := fs.Create(p, fmt.Sprintf("%s.shard.%05d", jc.name, r.Rank()),
-					pfs.Layout{OSTs: []int{r.Rank() % numOSTs}})
-				if err != nil {
-					if run.err == nil {
-						run.err = err
-					}
-					return
+				return &jobMLReadCont{
+					phases: jc.phases, start: jc.start, period: jc.period,
+					fs: fs, name: fmt.Sprintf("%s.shard.%05d", jc.name, i),
+					ost: i % numOSTs, bytes: int64(jc.bytes), errp: &run.err,
 				}
-				for ph := 0; ph < jc.phases; ph++ {
-					p.SleepUntil(simkernel.FromSeconds(jc.start + float64(ph)*jc.period))
-					shard.ReadAt(p, 0, int64(jc.bytes))
-				}
-				shard.Close(p)
 			}
 		case JobKindMDTest:
-			if useCont {
-				mk = func(i int) cluster.RankCont {
-					return &jobMDTestCont{
-						phases: jc.phases, files: jc.files, start: jc.start, period: jc.period,
-						fs: fs, job: jc.name, rank: i, numOSTs: numOSTs,
-						bytes: int64(jc.bytes), errp: &run.err,
-					}
-				}
-				break
-			}
-			body = func(r *cluster.Rank) {
-				p := r.Proc()
-				for ph := 0; ph < jc.phases; ph++ {
-					p.SleepUntil(simkernel.FromSeconds(jc.start + float64(ph)*jc.period))
-					for fi := 0; fi < jc.files; fi++ {
-						f, err := fs.Create(p, fmt.Sprintf("%s.r%05d.ph%03d.f%04d", jc.name, r.Rank(), ph, fi),
-							pfs.Layout{OSTs: []int{(r.Rank() + fi) % numOSTs}})
-						if err != nil {
-							if run.err == nil {
-								run.err = err
-							}
-							return
-						}
-						f.WriteAt(p, 0, int64(jc.bytes))
-						f.Close(p)
-					}
+			mk = func(i int) cluster.RankCont {
+				return &jobMDTestCont{
+					phases: jc.phases, files: jc.files, start: jc.start, period: jc.period,
+					fs: fs, job: jc.name, rank: i, numOSTs: numOSTs,
+					bytes: int64(jc.bytes), errp: &run.err,
 				}
 			}
 		default:

@@ -1,9 +1,6 @@
 package simkernel
 
-import (
-	"os"
-	"time"
-)
+import "time"
 
 // The continuation engine: run-to-completion processes.
 //
@@ -17,16 +14,14 @@ import (
 // Step, which dispatches on its own program counter. "Completion" means Step
 // returned true.
 //
-// The two engines are interchangeable by construction: a continuation
-// process is an ordinary *Proc registered in the same tables, woken through
-// the same scheduleProc events and waiter lists, tagged with the same job
-// ids, and ordered by the same (time, seq) keys. A body ported between
-// engines must schedule exactly the same wakeup events at the same points —
-// see the WaitCont/AcquireCont primitives in sync.go, which mirror their
-// blocking counterparts' event behaviour bit-exactly. The REPRO_NO_CONT
-// environment variable (see ContEnabled) forces the goroutine path
-// everywhere for bisection, and the determinism suite asserts both engines
-// produce identical figures.
+// A continuation process is an ordinary *Proc registered in the same
+// tables, woken through the same scheduleProc events and waiter lists,
+// tagged with the same job ids, and ordered by the same (time, seq) keys.
+// Operations above the kernel (pfs client calls, transport steps) are
+// written once, as continuation ops; a goroutine process runs the same op
+// through Proc.Await, which parks the goroutine wherever the op yields. The
+// blocking form of such an operation is therefore a few-line adaptor, and
+// both engines schedule identical events by construction.
 //
 // Discipline for Step bodies: they run on the kernel thread, so they must
 // not block (calling a goroutine-path method like Proc.Sleep panics), must
@@ -135,6 +130,25 @@ func (p *Proc) resumeCont(kind wakeKind) {
 	}
 }
 
+// Await runs a continuation op to completion on a goroutine process: it
+// calls step with the process's continuation view and parks the goroutine
+// each time the op yields, until step reports completion. Every blocking
+// operation with a continuation form is this adaptor over it, so the op's
+// body is the only one. As in resumeCont, a step that returns false
+// without parking panics. Ops whose wakeups resume the continuation inline
+// rather than through a scheduled event (Mailbox.RecvCont's direct
+// delivery) cannot be awaited.
+//
+//repro:hotpath
+func (p *Proc) Await(step func(*ContProc) bool) {
+	for !step((*ContProc)(p)) {
+		if p.state != procParked {
+			panic("simkernel: awaited op on " + p.name + " returned without yielding or completing")
+		}
+		p.park()
+	}
+}
+
 // Proc returns the underlying process, for identity and wiring only —
 // registering on waiter lists, job inspection. Calling any blocking method
 // on it (Sleep, Suspend, a primitive's blocking wait) panics: a continuation
@@ -209,13 +223,3 @@ func (c *ContProc) SleepUntil(at Time) bool {
 //
 //repro:hotpath
 func (c *ContProc) Waker() func() { return (*Proc)(c).Waker() }
-
-// ContEnabled reports whether the continuation engine should be used.
-// Setting REPRO_NO_CONT=1 (mirroring REPRO_NO_REUSE) forces the goroutine
-// path everywhere that would otherwise run rank bodies as continuations —
-// results are bit-identical either way; the switch exists for bisection.
-// Checked per launch decision, not cached, so tests can toggle it with
-// t.Setenv.
-func ContEnabled() bool {
-	return os.Getenv("REPRO_NO_CONT") == ""
-}

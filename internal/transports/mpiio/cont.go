@@ -10,10 +10,14 @@ import (
 	"repro/internal/simkernel"
 )
 
-// The continuation form of WriteStep: one stepCont per rank per step,
-// driving the same shared stepState through the same wait groups, creates,
-// writes, and index appends — the engines schedule identical events and the
-// adios-level golden figures are bit-identical either way.
+// The MPI-IO collective step: buffer (instantaneous in the model — ADIOS
+// buffers during the compute phase), compute collective offsets, and write
+// one contiguous block per rank into the cohort's shared file,
+// stripe-aligned so each rank's block maps to exactly one storage target.
+// The close is collective per cohort, matching MPI_File_close semantics and
+// the paper's "write, flush, and file close" timed region. One stepCont
+// per rank per step drives the shared stepState; LaunchCont rank bodies
+// drive it directly and WriteStep awaits it on the rank's goroutine.
 
 // stepCont is one rank's MPI-IO collective step in flight.
 type stepCont struct {
@@ -60,8 +64,12 @@ func createFailed(err error) error {
 	return fmt.Errorf("mpiio: shared-file create failed: %v", err)
 }
 
-// Step drives the rank's participation in the collective step; it mirrors
-// WriteStep statement for statement.
+// Step drives the rank's participation in the collective step. Untimed
+// setup: each cohort leader creates its shared file once every rank has
+// registered its size, with stripe-aligned offsets. Timed phase: write the
+// buffered block and flush; then each cohort leader appends its file's
+// footer index and closes, and everyone joins the cohort's collective
+// close.
 //
 //repro:hotpath
 func (s *stepCont) Step(c *simkernel.ContProc) bool {
@@ -128,8 +136,9 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				return false
 			}
 			if werr := s.write.Err(); werr != nil {
-				// Mirrors WriteStep: the block is lost, the cohort
-				// bookkeeping still completes.
+				// The collective has no recovery path: the rank's block
+				// is lost, but the cohort bookkeeping must still complete
+				// or every sibling deadlocks in the collective close.
 				s.err = werr
 				st.res.WriteFailures++
 				st.dataOf[s.rank] = iomethod.RankData{}
@@ -188,7 +197,8 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				return false
 			}
 			if aerr := s.write.Err(); aerr != nil {
-				// Footer lost; still close so the cohort completes.
+				// Footer lost; still close so the cohort's collective
+				// completes.
 				if s.err == nil {
 					s.err = aerr
 				}

@@ -12,10 +12,11 @@ import (
 	"repro/internal/simkernel"
 )
 
-// The engine-equivalence pin at the mpiio level: the same collective step,
-// once on goroutine ranks calling WriteStep and once on continuation ranks
-// driving BeginStepCont, against identically seeded worlds, must end at the
-// same virtual time with the same step result and server statistics.
+// The shim pin at the mpiio level: the same collective step, once on
+// goroutine ranks calling WriteStep (an Await adaptor over the step
+// machine) and once on continuation ranks driving BeginStepCont, against
+// identically seeded worlds, must end at the same virtual time with the
+// same step result and server statistics.
 
 // stepRunner drives one BeginStepCont machine as a rank continuation.
 type stepRunner struct {
