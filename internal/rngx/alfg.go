@@ -1,9 +1,6 @@
 package rngx
 
-import (
-	"math/rand"
-	"sync"
-)
+import "math/rand"
 
 // This file reimplements math/rand's additive lagged Fibonacci source
 // (Mitchell & Reeds, x[n] = x[n-273] + x[n-607]) bit for bit, so Source can
@@ -11,23 +8,31 @@ import (
 // while fixing the generator's one hot spot: Seed. Expanding a seed walks a
 // 1841-step LCG chain to fill the 607-word feedback register, which is
 // ~20x the cost of the handful of draws a short-lived stream ever makes —
-// interference.Start derives one stream per storage target, so cluster
-// construction was dominated by seeding (62% of the Table I benchmark).
-// Since the expansion is a pure function of the seed, alfgSeed memoises the
-// expanded register in a bounded cache and cache hits reduce seeding to a
-// 4.9KB copy.
+// interference.Noise re-arms one stream per storage target every replica.
+// Seeding is therefore lazy: Seed only records the key, and the draws
+// expand register words chunk by chunk just before the recurrence first
+// reads them, so a stream pays for the words it draws and no more. After
+// draw 334 the register is complete and seeding costs nothing further.
 
 const (
 	alfgLen      = 607
 	alfgTap      = 273
 	alfgMask     = 1<<63 - 1
 	alfgInt32Max = 1<<31 - 1
+	// alfgChunk is how many draws' worth of register words grow expands
+	// at once. Most reseeded streams (one per storage target) draw two or
+	// three values per replica, so a small chunk keeps the expanded words
+	// close to the ones read, at the price of ~167 grow calls for a stream
+	// that completes its register.
+	alfgChunk = 2
 )
 
 // alfgSource implements rand.Source64 with math/rand's exact semantics.
 type alfgSource struct {
 	tap  int
 	feed int
+	due  int    // feed value at which grow must expand the next chunk
+	key  uint64 // reduced seed the unexpanded words derive from
 	vec  [alfgLen]int64
 }
 
@@ -41,10 +46,7 @@ func newAlfg(seed int64) *alfgSource {
 // math/rand uses Schrage's decomposition (two divisions) to avoid 32-bit
 // overflow; with 64-bit arithmetic the product fits directly and the modulus
 // is the Mersenne prime 2^31-1, so a fold (2^31 ≡ 1 mod M) plus one
-// conditional subtraction yields the identical residue division-free. The
-// expansion chain is 1861 serially dependent steps, so this latency is the
-// whole cost of a cache-miss Seed — which world reuse pays once per derived
-// stream per replica.
+// conditional subtraction yields the identical residue division-free.
 func alfgSeedrand(x int32) int32 {
 	y := uint64(x) * 48271
 	y = (y & alfgInt32Max) + (y >> 31)
@@ -55,7 +57,7 @@ func alfgSeedrand(x int32) int32 {
 }
 
 // alfgKey reduces a seed the way rngSource.Seed does; seeds equal mod
-// 2^31-1 produce identical registers, so the cache keys on the residue.
+// 2^31-1 produce identical registers.
 func alfgKey(seed int64) int32 {
 	seed = seed % alfgInt32Max
 	if seed < 0 {
@@ -83,8 +85,8 @@ func alfgModmul(x, y uint64) uint64 {
 // alfgJump[i] = 48271^(21+3i) mod (2^31-1): the LCG state entering word i of
 // the expansion. The seeding LCG is multiplicative, so its n-th state has
 // the closed form a^n*key mod M; precomputing the power for each word turns
-// the 1861-step serial dependency chain of math/rand's expansion into 607
-// independent per-word computations the CPU can overlap.
+// the 1841-step serial dependency chain of math/rand's expansion into 607
+// independent per-word computations, so grow can expand any word on its own.
 var alfgJump [alfgLen]uint64
 
 func init() {
@@ -100,12 +102,40 @@ func init() {
 	}
 }
 
-// expand fills vec from a reduced seed: three LCG draws per word, XORed
+// Seed puts the source in the state math/rand's rngSource.Seed produces
+// without touching the register: it records the reduced key and rewinds the
+// taps, and the draws expand each original word just before its first read.
+func (s *alfgSource) Seed(seed int64) {
+	s.key = uint64(alfgKey(seed))
+	s.tap = 0
+	s.feed = alfgLen - alfgTap
+	s.due = s.feed
+}
+
+// grow expands the original words the next alfgChunk draws read. Draw k
+// (1-based) reads word 334-k and, while k <= 273, word 607-k; every other
+// read hits a word the recurrence wrote or grow already filled. feed counts
+// down from 334 one per draw, so it says how many draws came before.
+func (s *alfgSource) grow() {
+	const head = alfgLen - alfgTap // 334: draws until every word is read
+	a := head - s.feed
+	b := min(a+alfgChunk, head)
+	s.fill(head-b, head-a)
+	if a < alfgTap {
+		s.fill(alfgLen-min(b, alfgTap), alfgLen-a)
+	}
+	s.due = head - b
+	if b == head {
+		s.due = -1 // register complete: feed is never negative, so never due
+	}
+}
+
+// fill expands words [lo, hi) from the key: three LCG draws per word, XORed
 // with the cooked constants — bit-identical to math/rand's chained walk,
 // jump-started per word via alfgJump.
-func (s *alfgSource) expand(key int32) {
-	k := uint64(key)
-	for i := 0; i < alfgLen; i++ {
+func (s *alfgSource) fill(lo, hi int) {
+	k := s.key
+	for i := lo; i < hi; i++ {
 		x1 := int32(alfgModmul(alfgJump[i], k))
 		x2 := alfgSeedrand(x1)
 		x3 := alfgSeedrand(x2)
@@ -117,65 +147,26 @@ func (s *alfgSource) expand(key int32) {
 	}
 }
 
-// alfgCacheMax bounds the memo to ~20MB (each register is 4.9KB) — sized
-// to hold every stream a figure-scale campaign derives, since one Table I
-// round alone touches a couple of thousand (per-OST noise streams times
-// samples times machines). When full the map is cleared wholesale; the
-// cache affects only seeding cost, never the stream, so eviction policy is
-// free to be crude.
-const alfgCacheMax = 4096
-
-var alfgCache struct {
-	sync.Mutex
-	m map[int32]*[alfgLen]int64
-	// once records keys that have missed exactly once. A register is
-	// memoised only on its second miss: recurring streams (Table I rounds
-	// re-deriving the same per-OST keys) still get cached after one extra
-	// expansion, while one-shot keys (fresh per-replica seeds that derive
-	// every stream exactly once) no longer allocate a 4.9KB copy each.
-	once map[int32]struct{}
-}
-
-// Seed initialises the register to the same deterministic state
-// math/rand's rngSource.Seed produces, via the memo when possible.
-func (s *alfgSource) Seed(seed int64) {
-	s.tap = 0
-	s.feed = alfgLen - alfgTap
-	key := alfgKey(seed)
-
-	alfgCache.Lock()
-	if v, ok := alfgCache.m[key]; ok {
-		s.vec = *v
-		alfgCache.Unlock()
-		return
-	}
-	alfgCache.Unlock()
-
-	s.expand(key)
-
-	alfgCache.Lock()
-	if _, seen := alfgCache.once[key]; !seen {
-		if alfgCache.once == nil {
-			alfgCache.once = make(map[int32]struct{}, alfgCacheMax)
-		} else if len(alfgCache.once) >= alfgCacheMax {
-			clear(alfgCache.once)
-		}
-		alfgCache.once[key] = struct{}{}
-		alfgCache.Unlock()
-		return
-	}
-	v := s.vec
-	if alfgCache.m == nil {
-		alfgCache.m = make(map[int32]*[alfgLen]int64, alfgCacheMax)
-	} else if len(alfgCache.m) >= alfgCacheMax {
-		clear(alfgCache.m)
-	}
-	alfgCache.m[key] = &v
-	alfgCache.Unlock()
-}
-
 // Uint64 returns the next raw register sum (math/rand's core step).
 func (s *alfgSource) Uint64() uint64 {
+	if s.feed == s.due {
+		s.grow()
+	}
+	return uint64(s.step())
+}
+
+// Int63 implements rand.Source. It repeats Uint64's check instead of
+// calling it, because the call to grow keeps Uint64 from being inlined and
+// rand.Rand draws everything through Int63.
+func (s *alfgSource) Int63() int64 {
+	if s.feed == s.due {
+		s.grow()
+	}
+	return s.step() & alfgMask
+}
+
+// step advances the recurrence over an already expanded register.
+func (s *alfgSource) step() int64 {
 	s.tap--
 	if s.tap < 0 {
 		s.tap += alfgLen
@@ -186,12 +177,7 @@ func (s *alfgSource) Uint64() uint64 {
 	}
 	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x
-	return uint64(x)
-}
-
-// Int63 implements rand.Source.
-func (s *alfgSource) Int63() int64 {
-	return int64(s.Uint64() & alfgMask)
+	return x
 }
 
 var _ rand.Source64 = (*alfgSource)(nil)

@@ -2,6 +2,7 @@ package rngx
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -28,19 +29,59 @@ func TestAlfgMatchesMathRand(t *testing.T) {
 	}
 }
 
-// TestAlfgCacheHitIdentical re-seeds each value so the second expansion is
-// served from the memo, and checks the cached register yields the same
-// stream as a cold one.
-func TestAlfgCacheHitIdentical(t *testing.T) {
-	for _, seed := range alfgSeeds {
-		cold := newAlfg(seed)
-		hit := newAlfg(seed) // same key: served from cache
-		for i := 0; i < 1300; i++ {
-			if c, h := cold.Uint64(), hit.Uint64(); c != h {
-				t.Fatalf("seed %d draw %d: cache hit diverged", seed, i)
-			}
+// alfgBoundaries are draw counts at the edges of lazy expansion: chunk
+// boundaries, the last draw that reads an original tap word (273), the last
+// that reads an original feed word (334), and one register length (607).
+var alfgBoundaries = []int{0, 1, alfgChunk - 1, alfgChunk, alfgChunk + 1,
+	272, 273, 274, 333, 334, 335, 606, 607, 608}
+
+// alfgCheckReseed dirties a source with pre draws, reseeds it, and compares
+// n draws with math/rand, mixing Uint64 and Int63 so that chunk boundaries
+// fall on both (each carries its own expansion check): a reseed after a
+// partial lazy expansion must never read a word left over from the
+// previous seed.
+func alfgCheckReseed(t *testing.T, seed int64, pre, n int) {
+	t.Helper()
+	s := newAlfg(seed ^ 0x5eed)
+	for i := 0; i < pre; i++ {
+		s.Uint64()
+	}
+	s.Seed(seed)
+	ref := rand.NewSource(seed).(rand.Source64)
+	for i := 0; i < n; i++ {
+		var r, g uint64
+		if i%3 != 1 {
+			r, g = ref.Uint64(), s.Uint64()
+		} else {
+			r, g = uint64(ref.Int63()), uint64(s.Int63())
+		}
+		if r != g {
+			t.Fatalf("seed %d after %d draws, draw %d: alfg %#x != math/rand %#x", seed, pre, i, g, r)
 		}
 	}
+}
+
+// TestAlfgLazyMatchesMathRand reseeds sources dirtied to every expansion
+// boundary and checks 2000 draws against math/rand.
+func TestAlfgLazyMatchesMathRand(t *testing.T) {
+	for _, seed := range alfgSeeds {
+		for _, pre := range alfgBoundaries {
+			alfgCheckReseed(t, seed, pre, 2000)
+		}
+	}
+}
+
+// FuzzAlfgMatchesMathRand is TestAlfgLazyMatchesMathRand over arbitrary
+// seeds and draw counts.
+func FuzzAlfgMatchesMathRand(f *testing.F) {
+	for _, seed := range alfgSeeds {
+		for _, pre := range alfgBoundaries {
+			f.Add(seed, uint16(pre), uint16(700))
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, pre, n uint16) {
+		alfgCheckReseed(t, seed, int(pre), int(n))
+	})
 }
 
 // TestAlfgDistributionsMatch guards the rand.Rand layering: Float64 and the
@@ -65,42 +106,34 @@ func TestAlfgDistributionsMatch(t *testing.T) {
 	}
 }
 
-// BenchmarkAlfgSeed measures seeding with a warm cache — the path cluster
-// construction takes when campaigns reuse derived seeds.
-func BenchmarkAlfgSeed(b *testing.B) {
-	b.ReportAllocs()
-	var s alfgSource
-	for i := 0; i < b.N; i++ {
-		s.Seed(2010)
-	}
+// alfgDraws are stream lengths for the seed-then-draw benchmarks: a
+// per-target noise stream (a handful of draws), a stream stopping partway
+// through expansion (the noise master draws one seed per target), and a
+// long-lived service-time stream whose register ends up complete.
+var alfgDraws = []int{4, 64, 2000}
+
+// BenchmarkAlfgSeedThenDraw reseeds a stream to a fresh key and makes n
+// draws through rand.Rand, as a reused world does per stream per replica.
+func BenchmarkAlfgSeedThenDraw(b *testing.B) {
+	alfgBenchSeedThenDraw(b, rand.New(newAlfg(1)))
 }
 
-// BenchmarkMathRandSeed is the stdlib baseline BenchmarkAlfgSeed replaces.
-func BenchmarkMathRandSeed(b *testing.B) {
-	b.ReportAllocs()
-	src := rand.NewSource(2010)
-	for i := 0; i < b.N; i++ {
-		src.Seed(2010)
-	}
+// BenchmarkMathRandSeedThenDraw is BenchmarkAlfgSeedThenDraw's stdlib
+// baseline, which expands the whole register on every Seed.
+func BenchmarkMathRandSeedThenDraw(b *testing.B) {
+	alfgBenchSeedThenDraw(b, rand.New(rand.NewSource(1)))
 }
 
-// BenchmarkAlfgSeedCold measures the full register expansion (never-seen
-// seeds, as every replica's derived streams are under world reuse): the
-// jump-ahead form of the math/rand walk, bypassing the memo.
-func BenchmarkAlfgSeedCold(b *testing.B) {
-	b.ReportAllocs()
-	var s alfgSource
-	for i := 0; i < b.N; i++ {
-		s.expand(alfgKey(int64(i + 1)))
-	}
-}
-
-// BenchmarkMathRandSeedCold is BenchmarkAlfgSeedCold's stdlib baseline —
-// the serial 1861-step chain the jump table replaces.
-func BenchmarkMathRandSeedCold(b *testing.B) {
-	b.ReportAllocs()
-	src := rand.NewSource(1)
-	for i := 0; i < b.N; i++ {
-		src.Seed(int64(i + 1))
+func alfgBenchSeedThenDraw(b *testing.B, r *rand.Rand) {
+	for _, n := range alfgDraws {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.Seed(int64(i + 1))
+				for j := 0; j < n; j++ {
+					r.Int63()
+				}
+			}
+		})
 	}
 }

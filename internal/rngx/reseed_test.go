@@ -95,14 +95,19 @@ func TestMarkovReinitMatchesNew(t *testing.T) {
 }
 
 // TestReseedSteadyStateZeroAlloc gates the reuse path's allocation claim:
-// reseeding to an already-memoised seed allocates nothing.
+// reseeding to a seed never seen before and drawing past draw 334, so the
+// lazy expansion completes the whole register, allocates nothing.
 func TestReseedSteadyStateZeroAlloc(t *testing.T) {
-	s := New(1234) // memoises the expanded register for this seed
+	s := New(1234)
+	seed := int64(1234)
 	got := testing.AllocsPerRun(100, func() {
-		s.Reseed(1234)
-		s.Int63()
+		seed++
+		s.Reseed(seed)
+		for i := 0; i < 400; i++ {
+			s.Int63()
+		}
 	})
 	if got != 0 {
-		t.Fatalf("warm Reseed allocates %v allocs/op; want 0", got)
+		t.Fatalf("Reseed and 400 draws allocate %v allocs/op; want 0", got)
 	}
 }

@@ -22,7 +22,7 @@ type Source struct {
 
 // New creates a stream from a raw seed. The underlying generator is a
 // bit-exact reimplementation of math/rand's source whose seed expansion is
-// memoised (see alfg.go); the draws are identical to rand.NewSource's.
+// lazy (see alfg.go); the draws are identical to rand.NewSource's.
 func New(seed int64) *Source {
 	return &Source{r: rand.New(newAlfg(seed))}
 }
@@ -34,9 +34,9 @@ func NewNamed(seed int64, name string) *Source {
 }
 
 // Reseed re-initialises the stream in place to the exact state New(seed)
-// produces. It allocates nothing when the seed's expanded register is
-// already memoised, which is what lets reused simulation worlds re-arm
-// their streams per replica without rebuilding them.
+// produces. It allocates nothing and costs O(1): the register is expanded
+// only as the stream draws, which is what lets reused simulation worlds
+// re-arm their streams per replica without rebuilding them.
 func (s *Source) Reseed(seed int64) { s.r.Seed(seed) }
 
 // ReseedNamed is Reseed with NewNamed's seed/name mixing: the stream ends
