@@ -26,7 +26,7 @@ import (
 )
 
 func main() {
-	cli := scenariocli.Register(flag.CommandLine, "")
+	cli := scenariocli.Register(flag.CommandLine)
 	machine := flag.String("machine", "jaguar", "jaguar | franklin | xtp | intrepid")
 	flag.Parse()
 

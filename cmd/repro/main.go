@@ -1,5 +1,6 @@
-// Command repro regenerates every table and figure of the paper in one run
-// and writes the rendered artifacts to a results directory.
+// Command repro is the experiment CLI: it regenerates every table and
+// figure of the paper in one run, or runs one registered or custom
+// scenario.
 //
 // Two presets:
 //
@@ -7,18 +8,23 @@
 //	repro -mode full    — the paper's configuration (512 OSTs, writer
 //	                      counts to 16384, 40/469 samples), hours
 //
-// Artifacts land in -out (default ./results): one .txt per table/figure
-// plus summary.txt with the headline comparisons.
+// A preset run loops over the registered paper scenarios in artifact order
+// (fig1, table1, fig3, fig5-small, fig5-large, fig5-xl, fig6), renders each
+// through its registry renderer, and reduces the four evaluation runs to
+// Figure 7. Artifacts land in -out (default ./results): one .txt per
+// table/figure plus summary.txt with the headline comparisons. -only
+// restricts the run to some artifacts (fig1,table1,fig2,fig3,fig5,fig6,fig7)
+// and rejects any other name before writing anything.
 //
-// Individual experiments (or any custom spec) run through the scenario
-// registry instead:
+// Individual experiments (or any custom spec) run through -scenario and
+// print to stdout unless -out is given:
 //
 //	repro -scenario fig1 -set osts=32 -set samples=4
 //	repro -scenario examples/custom.json -set procs=32
 //
 // Campaigns run on a replica worker pool (-parallel, default all cores) with
 // results bit-identical to a sequential run; -seq-baseline additionally
-// reruns each driver on one worker and prints the measured speedup.
+// reruns each campaign on one worker and prints the measured speedup.
 package main
 
 import (
@@ -27,21 +33,62 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/profiling"
+	"repro/internal/scenario"
 	"repro/internal/scenario/scenariocli"
-	"repro/metrics"
 )
 
+// paperRuns lists the registered scenarios behind the paper's artifacts in
+// artifact order, each with the -only keys (artifact stems) that select
+// it. The evaluation runs also feed Figure 7.
+var paperRuns = []struct {
+	name string
+	keys []string
+}{
+	{"fig1", []string{"fig1"}},
+	{"table1", []string{"table1", "fig2"}},
+	{"fig3", []string{"fig3"}},
+	{"fig5-small", []string{"fig5", "fig7"}},
+	{"fig5-large", []string{"fig5", "fig7"}},
+	{"fig5-xl", []string{"fig5", "fig7"}},
+	{"fig6", []string{"fig6", "fig7"}},
+}
+
+// onlyKeys names every artifact stem in paperRuns, for -only's help and
+// errors.
+const onlyKeys = "fig1,table1,fig2,fig3,fig5,fig6,fig7"
+
+// config is the parsed command line.
+type config struct {
+	cli     *scenariocli.Flags
+	only    string
+	seqBase bool
+}
+
+// parseArgs parses the command line. -out defaults to results/ for preset
+// runs and to stdout for -scenario runs.
+func parseArgs(args []string) config {
+	fs := flag.NewFlagSet("repro", flag.ExitOnError)
+	c := config{cli: scenariocli.Register(fs)}
+	fs.Lookup("out").Usage = "output directory (default results for -mode runs, stdout for -scenario runs)"
+	fs.StringVar(&c.only, "only", "", "comma list to restrict a -mode run: "+onlyKeys)
+	fs.BoolVar(&c.seqBase, "seq-baseline", false, "rerun each campaign sequentially and report the parallel speedup")
+	_ = fs.Parse(args) // ExitOnError: a bad command line exits here
+	outGiven := false
+	fs.Visit(func(f *flag.Flag) { outGiven = outGiven || f.Name == "out" })
+	if !outGiven && !c.cli.ScenarioRequested() {
+		c.cli.Out = "results"
+	}
+	return c
+}
+
 func main() {
-	cli := scenariocli.Register(flag.CommandLine, "results")
-	var (
-		only    = flag.String("only", "", "comma list to restrict: fig1,table1,fig2,fig3,fig5,fig6,fig7")
-		seqBase = flag.Bool("seq-baseline", false, "rerun each driver sequentially and report the parallel speedup")
-	)
-	flag.Parse()
+	c := parseArgs(os.Args[1:])
+	cli := c.cli
 
 	stopProf, err := cli.StartProfiling()
 	if err != nil {
@@ -60,199 +107,109 @@ func main() {
 		return
 	}
 
-	if err := writeArtifacts(cli.Mode, cli.Out, cli.Seed, cli.Parallel, *only, *seqBase); err != nil {
+	if err := writeArtifacts(cli.Mode, cli.Out, cli.Seed, cli.Parallel, c.only, c.seqBase); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("artifacts written to %s/\n", cli.Out)
 }
 
-// writeArtifacts runs every paper driver selected by only (a comma list;
-// empty = all) at the given preset mode and seed, writes one .txt per
-// table/figure plus summary.txt to out, and prints the summary.
+// selectKeys parses -only into the set of selected artifact stems (empty =
+// all), rejecting names no paper run renders.
+func selectKeys(only string) (map[string]bool, error) {
+	valid := map[string]bool{}
+	for _, pr := range paperRuns {
+		for _, k := range pr.keys {
+			valid[k] = true
+		}
+	}
+	want := map[string]bool{}
+	for _, k := range strings.Split(only, ",") {
+		if k = strings.TrimSpace(k); k == "" {
+			continue
+		}
+		if !valid[k] {
+			return nil, fmt.Errorf("unknown -only key %q (valid: %s)", k, onlyKeys)
+		}
+		want[k] = true
+	}
+	return want, nil
+}
+
+// writeArtifacts runs the paper scenarios selected by only (a comma list of
+// artifact stems; empty = all) at the given preset mode and seed, writes
+// each registry-rendered artifact (same-named ones concatenated in run
+// order) plus summary.txt to out, and prints the summary.
 func writeArtifacts(mode, out string, seed int64, parallel int, only string, seqBase bool) error {
-	fig1Opt, err := experiments.Fig1Preset(mode)
+	want, err := selectKeys(only)
 	if err != nil {
 		return err
 	}
-	table1Opt, _ := experiments.TableIPreset(mode)
-	fig3Opt, _ := experiments.Fig3Preset(mode)
-	evalOpt, _ := experiments.EvalPreset(mode)
-	fig1Opt.Seed, table1Opt.Seed, fig3Opt.Seed, evalOpt.Seed = seed, seed, seed, seed
-
+	sel := func(k string) bool { return len(want) == 0 || want[k] }
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}
-	// The first failed write is reported; later ones are skipped.
-	var writeErr error
-	write := func(name, content string) {
-		if writeErr == nil {
-			writeErr = os.WriteFile(filepath.Join(out, name), []byte(content), 0o644)
+	texts := map[string]string{}
+	emit := func(a scenario.Artifact) error {
+		if !sel(strings.TrimSuffix(a.Name, ".txt")) {
+			return nil
 		}
+		texts[a.Name] += a.Text
+		return os.WriteFile(filepath.Join(out, a.Name), []byte(texts[a.Name]), 0o644)
 	}
-
-	want := map[string]bool{}
-	if only != "" {
-		for _, k := range strings.Split(only, ",") {
-			want[strings.TrimSpace(k)] = true
-		}
-	}
-	sel := func(k string) bool { return len(want) == 0 || want[k] }
 
 	var summary strings.Builder
 	fmt.Fprintf(&summary, "Reproduction run: mode=%s seed=%d at %s\n\n",
 		mode, seed, profiling.Timestamp())
 
-	// --- Section II ---
-	if sel("fig1") {
-		res, err := runTimed(&summary, "Figure 1 (internal interference grid)", parallel, seqBase,
-			func(par int) (*experiments.Fig1Result, error) {
-				o := fig1Opt
+	ropt := scenario.RunOptions{Seed: seed, Parallel: parallel}
+	var evalRuns []*scenario.Result
+	for _, pr := range paperRuns {
+		if !slices.ContainsFunc(pr.keys, sel) {
+			continue
+		}
+		def, _ := scenario.Lookup(pr.name)
+		s, err := def.Spec(mode)
+		if err != nil {
+			return err
+		}
+		res, err := runTimed(&summary, def.Description, parallel, seqBase,
+			func(par int) (*scenario.Result, error) {
+				o := ropt
 				o.Parallel = par
-				return experiments.Fig1(o)
+				return scenario.Run(s, o)
 			})
 		if err != nil {
 			return err
 		}
-		text := res.Aggregate.Render() + "\n" + res.PerWriter.Render()
-		// The figure above is measured under production noise, as the
-		// paper's was. The qualitative shape claims concern *internal*
-		// interference, so they are validated against a noise-free run of
-		// the same grid (at small scale, external noise otherwise swamps
-		// the means that 512 real targets would average out).
-		clean := fig1Opt
-		clean.NoNoise = true
-		clean.Samples = 2
-		clean.Parallel = parallel
-		cres, err := experiments.Fig1(clean)
+		artifacts, lines, err := def.Render(res, ropt)
 		if err != nil {
 			return err
 		}
-		if bad := experiments.Fig1ShapeChecks(cres, clean); len(bad) > 0 {
-			text += "\nshape-check (noise-free grid) violations:\n  " + strings.Join(bad, "\n  ") + "\n"
-			fmt.Fprintf(&summary, "Fig 1: %d shape violations (see fig1.txt)\n", len(bad))
-		} else {
-			text += "\nshape-check: all Figure 1 qualitative claims hold on the noise-free grid\n"
-			fmt.Fprintf(&summary, "Fig 1: internal-interference shapes hold (%d grid points)\n",
-				len(fig1Opt.Ratios)*len(fig1Opt.SizesMB))
+		for _, a := range artifacts {
+			if err := emit(a); err != nil {
+				return err
+			}
 		}
-		write("fig1.txt", text)
-	}
-
-	var t1 *experiments.TableIResult
-	if sel("table1") || sel("fig2") {
-		var err error
-		t1, err = runTimed(&summary, "Table I (external interference variability)", parallel, seqBase,
-			func(par int) (*experiments.TableIResult, error) {
-				o := table1Opt
-				o.Parallel = par
-				return experiments.TableI(o)
-			})
-		if err != nil {
-			return err
+		for _, line := range lines {
+			fmt.Fprintln(&summary, line)
+		}
+		if slices.Contains(pr.keys, "fig7") {
+			evalRuns = append(evalRuns, res)
 		}
 	}
-	if sel("table1") && t1 != nil {
-		var b strings.Builder
-		b.WriteString(t1.Table.Render())
-		b.WriteString("\nImbalance factors (slowest/fastest writer):\n")
-		for _, s := range t1.Series {
-			sum := metrics.Summarize(s.Imbalances)
-			fmt.Fprintf(&b, "  %-20s avg %.2f  max %.2f\n", s.Machine, sum.Mean, sum.Max)
-		}
-		write("table1.txt", b.String())
-		for _, s := range t1.Series {
-			fmt.Fprintf(&summary, "Table I %-18s CoV %.0f%%\n", s.Machine, s.Summary.CoVPercent())
-		}
-	}
-	if sel("fig2") && t1 != nil {
-		var b strings.Builder
-		for _, h := range experiments.Fig2(t1, 12) {
-			b.WriteString(h.Render())
-			b.WriteByte('\n')
-		}
-		write("fig2.txt", b.String())
-	}
-
-	if sel("fig3") {
-		res, err := runTimed(&summary, "Figure 3 (imbalanced concurrent writers)", parallel, seqBase,
-			func(par int) (*experiments.Fig3Result, error) {
-				o := fig3Opt
-				o.Parallel = par
-				return experiments.Fig3(o)
-			})
-		if err != nil {
-			return err
-		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "Test 1 imbalance factor: %.2f\n", res.Imbalance1)
-		fmt.Fprintf(&b, "Test 2 imbalance factor: %.2f\n", res.Imbalance2)
-		fmt.Fprintf(&b, "Overall average imbalance: %.2f (max %.2f)\n",
-			res.AvgImbalance, res.MaxImbalance)
-		write("fig3.txt", b.String())
-		fmt.Fprintf(&summary, "Fig 3: imbalance avg %.2f, max %.2f (paper: avg ≈2, up to 3.44)\n",
-			res.AvgImbalance, res.MaxImbalance)
-	}
-
-	// --- Section IV ---
-	var evalResults []*experiments.EvalResult
-	if sel("fig5") || sel("fig7") {
-		panels, err := runTimed(&summary, "Figure 5 (Pixie3D, MPI-IO vs adaptive)", parallel, seqBase,
-			func(par int) (*experiments.Fig5Result, error) {
-				o := evalOpt
-				o.Parallel = par
-				return experiments.Fig5(experiments.Fig5Options{Eval: o})
-			})
-		if err != nil {
-			return err
-		}
-		var b strings.Builder
-		for _, er := range panels.Panels {
-			b.WriteString(er.Figure.Render())
-			b.WriteByte('\n')
-			tbl := experiments.SpeedupSummary(er)
-			b.WriteString(tbl.Render())
-			b.WriteByte('\n')
-			evalResults = append(evalResults, er)
-			fmt.Fprintln(&summary, experiments.SpeedupLine(er))
-		}
-		if sel("fig5") {
-			write("fig5.txt", b.String())
-		}
-	}
-	if sel("fig6") || sel("fig7") {
-		er, err := runTimed(&summary, "Figure 6 (XGC1, MPI-IO vs adaptive)", parallel, seqBase,
-			func(par int) (*experiments.EvalResult, error) {
-				o := evalOpt
-				o.Parallel = par
-				return experiments.Fig6(o)
-			})
-		if err != nil {
-			return err
-		}
-		var b strings.Builder
-		b.WriteString(er.Figure.Render())
-		b.WriteByte('\n')
-		tbl := experiments.SpeedupSummary(er)
-		b.WriteString(tbl.Render())
-		evalResults = append(evalResults, er)
-		fmt.Fprintln(&summary, experiments.SpeedupLine(er))
-		if sel("fig6") {
-			write("fig6.txt", b.String())
-		}
-	}
-	if sel("fig7") && len(evalResults) > 0 {
+	if sel("fig7") {
 		step("Figure 7 (write-time standard deviations)")
-		var b strings.Builder
-		for _, fig := range experiments.Fig7(evalResults) {
-			b.WriteString(fig.Render())
-			b.WriteByte('\n')
+		a, err := experiments.RenderFig7(evalRuns)
+		if err != nil {
+			return err
 		}
-		write("fig7.txt", b.String())
+		if err := emit(a); err != nil {
+			return err
+		}
 	}
 
-	write("summary.txt", summary.String())
 	fmt.Println("\n" + summary.String())
-	return writeErr
+	return os.WriteFile(filepath.Join(out, "summary.txt"), []byte(summary.String()), 0o644)
 }
 
 func step(name string) { fmt.Println("==>", name) }
@@ -266,12 +223,12 @@ func workersFor(parallel int) int {
 	return parallel
 }
 
-// runTimed executes one driver at the configured parallelism and prints its
-// wall-clock time; with -seq-baseline it reruns the driver on one worker and
-// reports the observed speedup (the results are bit-identical by the
-// runner's determinism contract, so only the clock differs).
-func runTimed[T any](summary *strings.Builder, name string, parallel int, seqBaseline bool,
-	run func(parallel int) (T, error)) (T, error) {
+// runTimed executes one campaign at the configured parallelism and prints
+// its wall-clock time; with -seq-baseline it reruns the campaign on one
+// worker and reports the observed speedup (the results are bit-identical by
+// the runner's determinism contract, so only the clock differs).
+func runTimed(summary *strings.Builder, name string, parallel int, seqBaseline bool,
+	run func(parallel int) (*scenario.Result, error)) (*scenario.Result, error) {
 	step(name)
 	sw := profiling.StartStopwatch()
 	res, err := run(parallel)

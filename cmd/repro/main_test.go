@@ -55,3 +55,42 @@ func stableSummary(b []byte) []byte {
 	}
 	return []byte(strings.Join(keep, "\n"))
 }
+
+// TestUnknownOnlyKeyWritesNothing pins that a bad -only name fails before
+// any artifact, summary.txt included, is written.
+func TestUnknownOnlyKeyWritesNothing(t *testing.T) {
+	out := t.TempDir()
+	err := writeArtifacts("quick", out, 42, 2, "fig4", false)
+	if err == nil || !strings.Contains(err.Error(), "fig7") {
+		t.Errorf("want an error listing the valid keys, got %v", err)
+	}
+	entries, err := os.ReadDir(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Errorf("unknown -only key wrote %d files to the output directory", len(entries))
+	}
+}
+
+// TestModeRunsDefaultToResults pins the preset-run default: artifacts go
+// to results/ unless -out says otherwise.
+func TestModeRunsDefaultToResults(t *testing.T) {
+	if c := parseArgs([]string{"-mode", "quick"}); c.cli.Out != "results" {
+		t.Errorf("-mode run: -out defaults to %q, want results", c.cli.Out)
+	}
+	if c := parseArgs([]string{"-mode", "quick", "-out", ""}); c.cli.Out != "" {
+		t.Errorf("-mode run with -out \"\": got %q", c.cli.Out)
+	}
+}
+
+// TestScenarioRunsDefaultToStdout pins the -scenario default: output goes
+// to stdout, so a one-off run never overwrites the checked-in results/.
+func TestScenarioRunsDefaultToStdout(t *testing.T) {
+	if c := parseArgs([]string{"-scenario", "fig1", "-set", "osts=32"}); c.cli.Out != "" {
+		t.Errorf("-scenario run: -out defaults to %q, want stdout", c.cli.Out)
+	}
+	if c := parseArgs([]string{"-scenario", "fig1", "-out", "dir"}); c.cli.Out != "dir" {
+		t.Errorf("-scenario run with -out dir: got %q", c.cli.Out)
+	}
+}

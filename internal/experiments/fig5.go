@@ -193,41 +193,6 @@ func evalDemux(run *scenario.Result, title string) (*EvalResult, error) {
 	return res, nil
 }
 
-// Fig5Options configures the Pixie3D evaluation (which sizes to run).
-type Fig5Options struct {
-	Eval  EvalOptions
-	Sizes []workloads.Pixie3DSize
-}
-
-// Fig5Result holds one EvalResult per Pixie3D size class.
-type Fig5Result struct {
-	Panels []*EvalResult
-}
-
-// Fig5 runs the Pixie3D IO-kernel evaluation (paper Figure 5 a/b/c).
-func Fig5(opt Fig5Options) (*Fig5Result, error) {
-	sizes := opt.Sizes
-	if len(sizes) == 0 {
-		sizes = []workloads.Pixie3DSize{
-			workloads.Pixie3DSmall, workloads.Pixie3DLarge, workloads.Pixie3DXL,
-		}
-	}
-	res := &Fig5Result{}
-	panels := map[workloads.Pixie3DSize]string{
-		workloads.Pixie3DSmall: "Figure 5(a): Pixie3D Small Data (2 MB/process)",
-		workloads.Pixie3DLarge: "Figure 5(b): Pixie3D Large Data (128 MB/process)",
-		workloads.Pixie3DXL:    "Figure 5(c): Pixie3D Extra Large Data (1024 MB/process)",
-	}
-	for _, size := range sizes {
-		er, err := EvaluateWorkload(workloads.Pixie3DGen(size), panels[size], opt.Eval)
-		if err != nil {
-			return nil, err
-		}
-		res.Panels = append(res.Panels, er)
-	}
-	return res, nil
-}
-
 // Fig6 runs the XGC1 evaluation (paper Figure 6).
 func Fig6(opt EvalOptions) (*EvalResult, error) {
 	return EvaluateWorkload(workloads.XGC1Gen(),

@@ -4,97 +4,73 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/pfs"
 	"repro/internal/scenario"
 	"repro/internal/workloads"
 	"repro/metrics"
 )
 
-// init publishes every driver through the scenario registry, so the CLIs'
-// -scenario flag reaches the same specs (and the same artifact renderers)
-// the drivers use. Renderers rebuild the canonical tables and figures from
-// the generic Result, keeping -scenario output identical to the drivers'.
+// init publishes every driver through the scenario registry, so the
+// -scenario flag and repro's preset runs reach the same specs (and the same
+// artifact renderers) the drivers use. Renderers rebuild the canonical
+// tables and figures from the generic Result; they are the only place a
+// paper artifact is formatted.
 func init() {
 	scenario.Register(scenario.Definition{
 		Name:        "fig1",
 		Description: "Figure 1: internal-interference IOR grid (aggregate + per-writer bandwidth)",
-		Spec: func(mode string) (scenario.Scenario, error) {
-			opt, err := Fig1Preset(mode)
-			if err != nil {
-				return scenario.Scenario{}, err
-			}
-			return Fig1Scenario(opt), nil
-		},
-		Render: renderFig1,
+		Spec:        presetSpec(Fig1Preset, Fig1Scenario),
+		Render:      renderFig1,
 	})
 	scenario.Register(scenario.Definition{
 		Name:        "table1",
 		Description: "Table I + Figure 2: external-interference variability on three machines",
-		Spec: func(mode string) (scenario.Scenario, error) {
-			opt, err := TableIPreset(mode)
-			if err != nil {
-				return scenario.Scenario{}, err
-			}
-			return TableIScenario(opt), nil
-		},
-		Render: renderTableI,
+		Spec:        presetSpec(TableIPreset, TableIScenario),
+		Render:      renderTableI,
 	})
-	evalDef := func(name, title string, gen workloads.Generator) {
+	scenario.Register(scenario.Definition{
+		Name:        "fig3",
+		Description: "Figure 3: imbalanced concurrent writers (two tests 3 minutes apart + average imbalance)",
+		Spec:        presetSpec(Fig3Preset, Fig3Scenario),
+		Render:      renderFig3,
+	})
+	evalDef := func(name, artifact, title string, gen workloads.Generator) {
 		scenario.Register(scenario.Definition{
 			Name:        name,
 			Description: title,
-			Spec: func(mode string) (scenario.Scenario, error) {
-				opt, err := EvalPreset(mode)
-				if err != nil {
-					return scenario.Scenario{}, err
-				}
-				return EvalScenario(gen, opt), nil
-			},
+			Spec: presetSpec(EvalPreset, func(opt EvalOptions) scenario.Scenario {
+				return EvalScenario(gen, opt)
+			}),
 			Render: func(res *scenario.Result, opt scenario.RunOptions) ([]scenario.Artifact, []string, error) {
-				return renderEval(res, name, title)
+				return renderEval(res, artifact, title)
 			},
 		})
 	}
-	evalDef("fig5-small", "Figure 5(a): Pixie3D Small Data (2 MB/process)",
+	// The three Pixie3D panels share one artifact, which repro's preset
+	// runs concatenate in panel order.
+	evalDef("fig5-small", "fig5.txt", "Figure 5(a): Pixie3D Small Data (2 MB/process)",
 		workloads.Pixie3DGen(workloads.Pixie3DSmall))
-	evalDef("fig5-large", "Figure 5(b): Pixie3D Large Data (128 MB/process)",
+	evalDef("fig5-large", "fig5.txt", "Figure 5(b): Pixie3D Large Data (128 MB/process)",
 		workloads.Pixie3DGen(workloads.Pixie3DLarge))
-	evalDef("fig5-xl", "Figure 5(c): Pixie3D Extra Large Data (1024 MB/process)",
+	evalDef("fig5-xl", "fig5.txt", "Figure 5(c): Pixie3D Extra Large Data (1024 MB/process)",
 		workloads.Pixie3DGen(workloads.Pixie3DXL))
-	evalDef("fig6", "Figure 6: XGC1 IO Performance (38 MB/process)", workloads.XGC1Gen())
+	evalDef("fig6", "fig6.txt", "Figure 6: XGC1 IO Performance (38 MB/process)", workloads.XGC1Gen())
 	scenario.Register(scenario.Definition{
 		Name:        "jobmix-frontier",
 		Description: "Saturation frontier: heterogeneous job mix, static vs adaptive, 1→N concurrent jobs",
-		Spec: func(mode string) (scenario.Scenario, error) {
-			opt, err := JobMixPreset(mode)
-			if err != nil {
-				return scenario.Scenario{}, err
-			}
-			return JobMixScenario(opt), nil
-		},
-		Render: renderJobMix,
+		Spec:        presetSpec(JobMixPreset, JobMixScenario),
+		Render:      renderJobMix,
 	})
 	scenario.Register(scenario.Definition{
 		Name:        "failure-sweep",
 		Description: "Failure masking: scripted OST crash/rebuild under adaptive IO vs its work-shifting ablation",
-		Spec: func(mode string) (scenario.Scenario, error) {
-			opt, err := FailureSweepPreset(mode)
-			if err != nil {
-				return scenario.Scenario{}, err
-			}
-			return FailureSweepScenario(opt), nil
-		},
-		Render: renderFailureSweep,
+		Spec:        presetSpec(FailureSweepPreset, FailureSweepScenario),
+		Render:      renderFailureSweep,
 	})
 	scenario.Register(scenario.Definition{
 		Name:        "metadata",
 		Description: "Metadata open-storm study (future-work extension)",
-		Spec: func(mode string) (scenario.Scenario, error) {
-			opt, err := MetadataPreset(mode)
-			if err != nil {
-				return scenario.Scenario{}, err
-			}
-			return MetadataScenario(opt), nil
-		},
+		Spec:        presetSpec(MetadataPreset, MetadataScenario),
 		Render: func(res *scenario.Result, opt scenario.RunOptions) ([]scenario.Artifact, []string, error) {
 			md, err := metadataDemux(res)
 			if err != nil {
@@ -103,6 +79,18 @@ func init() {
 			return []scenario.Artifact{{Name: "metadata.txt", Text: md.Table.Render()}}, nil, nil
 		},
 	})
+}
+
+// presetSpec adapts a driver's preset and spec builder to a Definition's
+// Spec.
+func presetSpec[O any](preset func(mode string) (O, error), build func(O) scenario.Scenario) func(string) (scenario.Scenario, error) {
+	return func(mode string) (scenario.Scenario, error) {
+		opt, err := preset(mode)
+		if err != nil {
+			return scenario.Scenario{}, err
+		}
+		return build(opt), nil
+	}
 }
 
 // fig1OptionsFromSpec recovers the driver options a Fig1 spec was built
@@ -205,7 +193,26 @@ func renderFailureSweep(res *scenario.Result, _ scenario.RunOptions) ([]scenario
 		[]string{FailureSweepLine(r)}, nil
 }
 
-func renderEval(res *scenario.Result, name, title string) ([]scenario.Artifact, []string, error) {
+// renderFig3 runs the two headline tests at the run's seed on the spec's
+// machine and reports them beside the average-imbalance series.
+func renderFig3(res *scenario.Result, ropt scenario.RunOptions) ([]scenario.Artifact, []string, error) {
+	w := res.Scenario.Workload
+	bytes := w.Bytes
+	if bytes == 0 {
+		bytes = w.SizeMB * pfs.MB
+	}
+	r, err := fig3Headline(Fig3Options{OSTs: res.Scenario.NumOSTs, BytesPerWriter: bytes, Seed: ropt.Seed})
+	if err != nil {
+		return nil, nil, err
+	}
+	r.AvgImbalance, r.MaxImbalance = fig3Imbalance(res)
+	text := fmt.Sprintf("Test 1 imbalance factor: %.2f\nTest 2 imbalance factor: %.2f\nOverall average imbalance: %.2f (max %.2f)\n",
+		r.Imbalance1, r.Imbalance2, r.AvgImbalance, r.MaxImbalance)
+	return []scenario.Artifact{{Name: "fig3.txt", Text: text}},
+		[]string{fmt.Sprintf("Fig 3: imbalance avg %.2f, max %.2f (paper: avg ≈2, up to 3.44)", r.AvgImbalance, r.MaxImbalance)}, nil
+}
+
+func renderEval(res *scenario.Result, artifact, title string) ([]scenario.Artifact, []string, error) {
 	er, err := evalDemux(res, title)
 	if err != nil {
 		return nil, nil, err
@@ -216,6 +223,25 @@ func renderEval(res *scenario.Result, name, title string) ([]scenario.Artifact, 
 	tbl := SpeedupSummary(er)
 	b.WriteString(tbl.Render())
 	b.WriteByte('\n')
-	return []scenario.Artifact{{Name: name + ".txt", Text: b.String()}},
+	return []scenario.Artifact{{Name: artifact, Text: b.String()}},
 		[]string{SpeedupLine(er)}, nil
+}
+
+// RenderFig7 reduces evaluation runs (the fig5-* and fig6 scenarios) to
+// Figure 7's write-time standard deviations, one panel per run in order.
+func RenderFig7(runs []*scenario.Result) (scenario.Artifact, error) {
+	ers := make([]*EvalResult, len(runs))
+	for i, run := range runs {
+		er, err := evalDemux(run, run.Scenario.Name)
+		if err != nil {
+			return scenario.Artifact{}, err
+		}
+		ers[i] = er
+	}
+	var b strings.Builder
+	for _, fig := range Fig7(ers) {
+		b.WriteString(fig.Render())
+		b.WriteByte('\n')
+	}
+	return scenario.Artifact{Name: "fig7.txt", Text: b.String()}, nil
 }

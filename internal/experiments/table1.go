@@ -241,10 +241,44 @@ type Fig3Result struct {
 	MaxImbalance float64
 }
 
+// Fig3Scenario is the average-imbalance series as a scenario: the
+// hourly-test shape at this option set, seed label "fig3", single grid
+// point "imbalance" — the same replica stream the bespoke loop drew.
+func Fig3Scenario(opt Fig3Options) scenario.Scenario {
+	opt.defaults()
+	return scenario.Scenario{
+		Name:       "fig3",
+		PointLabel: "imbalance",
+		Machine:    "jaguar",
+		NumOSTs:    opt.OSTs,
+		Samples:    opt.AverageOver,
+		Workload: scenario.Workload{
+			Kind:    scenario.KindIOR,
+			Writers: opt.OSTs,
+			Bytes:   opt.BytesPerWriter,
+		},
+	}
+}
+
 // Fig3 runs two IOR tests GapSeconds apart on one busy Jaguar environment,
 // demonstrating the transient nature of external interference, plus a
 // sample series for the average imbalance factor.
 func Fig3(opt Fig3Options) (*Fig3Result, error) {
+	res, err := fig3Headline(opt)
+	if err != nil {
+		return nil, err
+	}
+	avg, err := scenario.Run(Fig3Scenario(opt), scenario.RunOptions{Seed: opt.Seed, Parallel: opt.Parallel})
+	if err != nil {
+		return nil, err
+	}
+	res.AvgImbalance, res.MaxImbalance = fig3Imbalance(avg)
+	return res, nil
+}
+
+// fig3Headline runs the two headline tests GapSeconds apart on one
+// environment, leaving the average-imbalance fields zero.
+func fig3Headline(opt Fig3Options) (*Fig3Result, error) {
 	opt.defaults()
 	c, err := cluster.Preset("jaguar", cluster.Config{
 		Seed:            opt.Seed,
@@ -274,41 +308,24 @@ func Fig3(opt Fig3Options) (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig3Result{
+	return &Fig3Result{
 		Test1Times: r1.WriterTimes,
 		Test2Times: r2.WriterTimes,
 		Imbalance1: r1.ImbalanceFactor,
 		Imbalance2: r2.ImbalanceFactor,
-	}
+	}, nil
+}
 
-	// The average-imbalance series is an unlabeled inline scenario: the
-	// hourly-test shape at this option set, seed label "fig3", single grid
-	// point "imbalance" — the same replica stream the bespoke loop drew.
-	avg, err := scenario.Run(scenario.Scenario{
-		Name:       "fig3",
-		PointLabel: "imbalance",
-		Machine:    "jaguar",
-		NumOSTs:    opt.OSTs,
-		Samples:    opt.AverageOver,
-		Workload: scenario.Workload{
-			Kind:    scenario.KindIOR,
-			Writers: opt.OSTs,
-			Bytes:   opt.BytesPerWriter,
-		},
-	}, scenario.RunOptions{Seed: opt.Seed, Parallel: opt.Parallel})
-	if err != nil {
-		return nil, err
-	}
+// fig3Imbalance reduces the average-imbalance series to its mean and
+// maximum imbalance factor.
+func fig3Imbalance(run *scenario.Result) (avg, maxI float64) {
 	var acc stats.Accumulator
-	maxI := 0.0
-	for _, smp := range avg.Points[0].Samples {
+	for _, smp := range run.Points[0].Samples {
 		f := stats.ImbalanceFactor(smp.WriterTimes)
 		acc.Add(f)
 		if f > maxI {
 			maxI = f
 		}
 	}
-	res.AvgImbalance = acc.Summary().Mean
-	res.MaxImbalance = maxI
-	return res, nil
+	return acc.Summary().Mean, maxI
 }

@@ -28,7 +28,8 @@ type Definition struct {
 	Spec func(mode string) (Scenario, error)
 	// Render rebuilds the driver's artifacts from the run (optional). The
 	// run options are passed through because some renderers (Figure 1's
-	// shape checks) run auxiliary scenarios at the same seed/parallelism.
+	// shape checks, Figure 3's headline tests) run auxiliary simulations at
+	// the same seed/parallelism.
 	Render func(res *Result, opt RunOptions) ([]Artifact, []string, error)
 }
 

@@ -1,9 +1,9 @@
-// Package scenariocli is the shared -scenario flag wiring for the CLIs:
-// one place registers the common flags (-scenario, -set, -mode, -out,
-// -seed, -parallel, -trace, -cpuprofile, -memprofile), loads a registered
-// or file-based spec, applies overrides, runs it and writes the artifacts.
-// Every command gets identical behaviour; the per-command mains keep only
-// their bespoke surfaces.
+// Package scenariocli is the -scenario flag wiring shared by repro (the
+// experiment CLI) and pfsinspect (the machine probe): one place registers
+// the common flags (-scenario, -set, -mode, -out, -seed, -parallel,
+// -trace, -cpuprofile, -memprofile), loads a registered or file-based
+// spec, applies overrides, runs it and emits the artifacts through the
+// registry's renderers.
 package scenariocli
 
 import (
@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"repro/internal/profiling"
@@ -46,13 +45,13 @@ type Flags struct {
 
 // Register installs the shared flags on a flag set (usually
 // flag.CommandLine) and returns the value holder to read after Parse.
-func Register(fs *flag.FlagSet, defaultOut string) *Flags {
+func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Scenario, "scenario", "",
 		"run a scenario: a registered name ("+strings.Join(scenario.Names(), ", ")+") or a JSON spec file")
 	fs.Var(&f.Sets, "set", "override a spec field or axis, key=value (repeatable)")
 	fs.StringVar(&f.Mode, "mode", "quick", "preset mode for registered scenarios: quick | full")
-	fs.StringVar(&f.Out, "out", defaultOut, "output directory (empty = stdout)")
+	fs.StringVar(&f.Out, "out", "", "output directory (empty = stdout)")
 	fs.Int64Var(&f.Seed, "seed", 42, "master seed")
 	fs.IntVar(&f.Parallel, "parallel", 0, "replica workers (0 = all cores, 1 = sequential)")
 	fs.BoolVar(&f.Trace, "trace", false, "capture an activity trace of one replica")
@@ -151,31 +150,4 @@ func (f *Flags) RunScenario(tool string) error {
 // artifactName flattens a scenario name ("eval/gtc") into a file stem.
 func artifactName(name string) string {
 	return strings.ReplaceAll(name, "/", "-")
-}
-
-// ParseInts parses a comma-separated integer list (shared by the
-// experiment-specific CLI surfaces).
-func ParseInts(s string) ([]int, error) {
-	fs, err := ParseFloats(s)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, len(fs))
-	for i, f := range fs {
-		out[i] = int(f)
-	}
-	return out, nil
-}
-
-// ParseFloats parses a comma-separated float list.
-func ParseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad number %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
