@@ -28,7 +28,8 @@ func (io *IO) ContCapable() bool {
 // Step (advance style — move the machine's program counter past the close
 // before yielding), then read Result.
 type CloseCont struct {
-	sc iomethod.StepCont
+	sc  iomethod.StepCont
+	res StepResult
 }
 
 // BeginCloseCont arms cc to perform this file's collective output. The
@@ -43,7 +44,7 @@ func (f *File) BeginCloseCont(cc *CloseCont) {
 	if !ok {
 		panic("adios: BeginCloseCont on a transport without continuation support")
 	}
-	cc.sc = cm.BeginStepCont(f.rank, f.name, f.data)
+	*cc = CloseCont{sc: cm.BeginStepCont(f.rank, f.name, f.data)}
 }
 
 // Step drives the collective close; see simkernel.Cont.
@@ -52,11 +53,15 @@ func (f *File) BeginCloseCont(cc *CloseCont) {
 func (cc *CloseCont) Step(c *simkernel.ContProc) bool { return cc.sc.Step(c) }
 
 // Result returns what the equivalent Close call would have returned; valid
-// once Step has returned true.
+// once Step has returned true. The returned pointer aliases the CloseCont
+// (no per-rank allocation) and holds this step's result until the next
+// BeginCloseCont re-arms cc, so a caller keeping a result across steps
+// copies the StepResult value.
 func (cc *CloseCont) Result() (*StepResult, error) {
 	res, err := cc.sc.Result()
 	if err != nil {
 		return nil, err
 	}
-	return &StepResult{StepResult: res}, nil
+	cc.res = StepResult{StepResult: res}
+	return &cc.res, nil
 }

@@ -22,6 +22,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 )
 
 // Format constants.
@@ -86,13 +87,16 @@ func compareEntries(a, b *VarEntry) int {
 }
 
 // Sort orders entries by (Name, WriterRank, Offset), the canonical order a
-// sub-coordinator establishes before writing the index. The entries are
-// 64-byte records, so sorting moves indices and permutes once at the end
-// instead of swapping records throughout (figure-scale profiles: direct
+// sub-coordinator establishes before writing the index. Entries with equal
+// keys keep their input order, so the result is that of a stable sort.
+// An index already in canonical order — every local a global index merges
+// was sorted where it was built — returns after one allocation-free scan.
+// Otherwise the 64-byte records are not swapped throughout: sorting moves
+// indices and permutes once at the end (figure-scale profiles: direct
 // sort.Sort and slices.SortFunc both lose to this on copy traffic).
 func (li *LocalIndex) Sort() {
 	es := li.Entries
-	if len(es) < 2 {
+	if li.sorted() {
 		return
 	}
 	idx := make([]int32, len(es))
@@ -101,7 +105,10 @@ func (li *LocalIndex) Sort() {
 			idx[i] = int32(i)
 		}
 		slices.SortFunc(idx, func(a, b int32) int {
-			return compareEntries(&es[a], &es[b])
+			if c := compareEntries(&es[a], &es[b]); c != 0 {
+				return c
+			}
+			return int(a - b)
 		})
 	}
 	// Apply the permutation in place, one cycle at a time: es[i] must end
@@ -123,6 +130,17 @@ func (li *LocalIndex) Sort() {
 			j = k
 		}
 	}
+}
+
+// sorted reports whether the entries are already in canonical order.
+func (li *LocalIndex) sorted() bool {
+	es := li.Entries
+	for i := 1; i < len(es); i++ {
+		if compareEntries(&es[i-1], &es[i]) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // bucketOrder attempts the merge-aware fast path of Sort: a leader merging
@@ -212,7 +230,7 @@ type GlobalIndex struct {
 
 // Sort orders locals by file name and each local's entries canonically.
 func (g *GlobalIndex) Sort() {
-	sort.Slice(g.Locals, func(i, j int) bool { return g.Locals[i].File < g.Locals[j].File })
+	slices.SortFunc(g.Locals, func(a, b LocalIndex) int { return strings.Compare(a.File, b.File) })
 	for i := range g.Locals {
 		g.Locals[i].Sort()
 	}
@@ -436,13 +454,11 @@ func DecodeLocal(data []byte) (*LocalIndex, error) {
 	return li, nil
 }
 
-// Encode serialises the global index (sorting it canonically first).
 // EncodedLen returns the exact length Encode would produce, applying the
-// same validation, without materialising the bytes. Like Encode it sorts
-// the locals first (the length itself is order-independent, but callers
-// interleave it with Encode and both must observe the canonical order).
+// same validation, without materialising the bytes. It is a pure size
+// query: the length does not depend on order, so unlike Encode it does not
+// sort and leaves the index untouched.
 func (g *GlobalIndex) EncodedLen() (int, error) {
-	g.Sort()
 	size := 4 + 2 + 8 + 4
 	for i := range g.Locals {
 		n, err := g.Locals[i].EncodedLen()
@@ -454,6 +470,7 @@ func (g *GlobalIndex) EncodedLen() (int, error) {
 	return size, nil
 }
 
+// Encode serialises the global index (sorting it canonically first).
 func (g *GlobalIndex) Encode() ([]byte, error) {
 	g.Sort()
 	size := 4 + 2 + 8 + 4

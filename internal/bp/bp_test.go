@@ -3,6 +3,7 @@ package bp
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -302,5 +303,121 @@ func TestSortMatchesReferenceQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fuzzNames is the fuzz target's name pool: more distinct names than
+// bucketOrder's 16-slot table, so both Sort paths are reachable.
+var fuzzNames = func() []string {
+	out := make([]string, 24)
+	for i := range out {
+		out[i] = string(rune('A' + (i*7)%24))
+	}
+	return out
+}()
+
+// fuzzEntries builds entries from fuzz bytes, three per entry. The first
+// byte picks the input shape: as drawn, already canonical (the fast path),
+// or ordered by (WriterRank, Offset) with names interleaved (the leader
+// merge shape). Length and Min record the draw position, so entries with
+// equal keys stay distinguishable and an unstable sort shows.
+func fuzzEntries(data []byte) []VarEntry {
+	if len(data) == 0 {
+		return nil
+	}
+	shape, data := data[0]%3, data[1:]
+	es := make([]VarEntry, 0, len(data)/3)
+	for i := 0; i+2 < len(data); i += 3 {
+		es = append(es, VarEntry{
+			Name:       fuzzNames[int(data[i])%len(fuzzNames)],
+			WriterRank: int32(data[i+1] % 8),
+			Offset:     int64(data[i+2] % 4),
+			Length:     int64(len(es)),
+			Dims:       []uint64{uint64(data[i])},
+			Min:        float64(len(es)),
+		})
+	}
+	switch shape {
+	case 1:
+		es = referenceSort(es)
+	case 2:
+		slices.SortStableFunc(es, func(a, b VarEntry) int {
+			if a.WriterRank != b.WriterRank {
+				return int(a.WriterRank - b.WriterRank)
+			}
+			return int(a.Offset - b.Offset)
+		})
+	}
+	return es
+}
+
+func cloneLocals(ls []LocalIndex) []LocalIndex {
+	out := make([]LocalIndex, len(ls))
+	for i, l := range ls {
+		out[i] = LocalIndex{File: l.File, Entries: slices.Clone(l.Entries)}
+	}
+	return out
+}
+
+func FuzzLocalIndexSort(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{1, 30, 1, 0, 2, 0, 1, 30, 0, 3})
+	f.Add([]byte{2, 5, 1, 0, 4, 0, 2, 5, 0, 1, 9, 3, 1, 4, 2, 2, 23, 7, 3})
+	f.Add([]byte{0, 7, 7, 7, 7, 7, 7, 7, 7, 7}) // duplicate keys
+	f.Fuzz(func(t *testing.T, data []byte) {
+		es := fuzzEntries(data)
+		want := referenceSort(es)
+		li := LocalIndex{File: "f", Entries: slices.Clone(es)}
+		li.Sort()
+		if len(es) > 0 && !reflect.DeepEqual(li.Entries, want) {
+			t.Fatalf("Sort mismatch\n got %+v\nwant %+v", li.Entries, want)
+		}
+		once := slices.Clone(li.Entries)
+		li.Sort()
+		if !reflect.DeepEqual(li.Entries, once) {
+			t.Fatalf("second Sort changed a canonical index\n got %+v\nwant %+v", li.Entries, once)
+		}
+
+		half := len(es) / 2
+		g := GlobalIndex{Step: 3, Locals: []LocalIndex{
+			{File: "out.1.bp", Entries: slices.Clone(es[half:])},
+			{File: "out.0.bp", Entries: slices.Clone(es[:half])},
+		}}
+		before := cloneLocals(g.Locals)
+		n, err := g.EncodedLen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(g.Locals, before) {
+			t.Fatal("GlobalIndex.EncodedLen modified the locals")
+		}
+		enc, err := g.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(enc) {
+			t.Fatalf("EncodedLen = %d, len(Encode()) = %d", n, len(enc))
+		}
+	})
+}
+
+func TestSortSortedZeroAlloc(t *testing.T) {
+	names := []string{"B_x", "B_y", "B_z", "p", "rho", "v_x", "v_y", "v_z"}
+	li := LocalIndex{File: "out.0.bp"}
+	for _, name := range names {
+		for r := int32(0); r < 128; r++ {
+			li.Entries = append(li.Entries, VarEntry{Name: name, WriterRank: r, Length: 8, Dims: []uint64{4, 4, 4}})
+		}
+	}
+	li.Sort()
+	if !li.sorted() {
+		t.Fatal("Sort did not produce canonical order")
+	}
+	if got := testing.AllocsPerRun(100, li.Sort); got != 0 {
+		t.Errorf("LocalIndex.Sort of a canonical index allocates %v times; want 0", got)
+	}
+	g := GlobalIndex{Locals: []LocalIndex{li, {File: "out.1.bp", Entries: slices.Clone(li.Entries)}}}
+	if got := testing.AllocsPerRun(100, g.Sort); got != 0 {
+		t.Errorf("GlobalIndex.Sort of canonical locals allocates %v times; want 0", got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/iomethod"
 	"repro/internal/machines"
 	"repro/internal/pfs"
 	"repro/internal/runner"
@@ -163,9 +164,10 @@ type replicaCfg struct {
 	// openstorm knob.
 	stagger time.Duration
 
-	// app knobs.
+	// app knobs. perRank is the point's resolved generator, shared by
+	// every replica of the point so its per-rank memo spans the run.
 	procs     int
-	generator string
+	perRank   func(rank int) iomethod.RankData
 	method    string
 	transport Transport
 
@@ -183,7 +185,7 @@ type replicaCfg struct {
 type jobCfg struct {
 	name      string
 	kind      string
-	generator string
+	perRank   func(rank int) iomethod.RankData // app jobs: the resolved generator
 	procs     int
 	bytes     float64 // per-rank per-phase volume (mlread read size, mdtest file size)
 	files     int     // mdtest creates per rank per phase
@@ -209,7 +211,6 @@ func (s *Scenario) resolve(p Params) (replicaCfg, error) {
 		flush:     s.Workload.Flush,
 		shared:    s.Workload.SharedFile,
 		procs:     p.Int("procs", s.Workload.Procs),
-		generator: p.Str("generator", s.Workload.Generator),
 		method:    p.Str("method", s.Transport.Method),
 		transport: s.Transport,
 		condition: p.Str("condition", s.Interference.Condition),
@@ -281,13 +282,17 @@ func (s *Scenario) resolve(p Params) (replicaCfg, error) {
 		if c.procs <= 0 {
 			return c, fmt.Errorf("app workload needs a positive process count")
 		}
-		if s.Workload.PerRank == nil {
-			if c.generator == "" {
+		c.perRank = s.Workload.PerRank
+		if c.perRank == nil {
+			name := p.Str("generator", s.Workload.Generator)
+			if name == "" {
 				return c, fmt.Errorf("app workload needs a generator")
 			}
-			if _, err := workloads.ByName(c.generator); err != nil {
+			gen, err := workloads.ByName(name)
+			if err != nil {
 				return c, err
 			}
+			c.perRank = gen.PerRank
 		}
 	case KindIOR, KindPairedIOR, KindOpenStorm:
 		if c.writers <= 0 {
@@ -334,7 +339,6 @@ func (s *Scenario) resolveJobs(c *replicaCfg, p Params) error {
 		jc := jobCfg{
 			name:      js.Name,
 			kind:      js.Kind,
-			generator: js.Generator,
 			procs:     js.Procs,
 			files:     js.FilesPerRank,
 			transport: js.Transport,
@@ -378,17 +382,20 @@ func (s *Scenario) resolveJobs(c *replicaCfg, p Params) error {
 			default:
 				return fmt.Errorf("job %q: unknown transport method %q (want MPI | POSIX | ADAPTIVE | STAGING)", jc.name, jc.transport.Method)
 			}
-			if jc.generator == "" {
+			if js.Generator == "" {
 				return fmt.Errorf("job %q: app job needs a generator", jc.name)
 			}
-			if _, err := workloads.ByName(jc.generator); err != nil {
+			gen, err := workloads.ByName(js.Generator)
+			if err != nil {
 				return fmt.Errorf("job %q: %w", jc.name, err)
 			}
+			jc.perRank = gen.PerRank
 		case JobKindMLRead:
-			if jc.generator == "" {
-				jc.generator = "mltrain"
+			name := js.Generator
+			if name == "" {
+				name = "mltrain"
 			}
-			gen, err := workloads.ByName(jc.generator)
+			gen, err := workloads.ByName(name)
 			if err != nil {
 				return fmt.Errorf("job %q: %w", jc.name, err)
 			}

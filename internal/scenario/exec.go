@@ -13,7 +13,6 @@ import (
 	"repro/internal/rngx"
 	"repro/internal/simkernel"
 	"repro/internal/stats"
-	"repro/internal/workloads"
 )
 
 // Sample is one replica's measurements, uniform across workload kinds
@@ -157,8 +156,11 @@ func execCampaign(cfg CampaignConfig, tc *traceCapture) (Sample, error) {
 	stepName := fmt.Sprintf("%s.out", cfg.IO.Method)
 	var j *cluster.Join
 	if io.ContCapable() {
+		// One slab per replica instead of one heap object per rank.
+		conts := make([]campaignCont, cfg.Writers)
 		j = w.LaunchCont(func(i int) cluster.RankCont {
-			return &campaignCont{io: io, stepName: stepName, perRank: cfg.PerRank, out: &out}
+			conts[i] = campaignCont{io: io, stepName: stepName, perRank: cfg.PerRank, out: &out}
+			return &conts[i]
 		})
 	} else {
 		j = w.Launch(func(r *cluster.Rank) {
@@ -224,14 +226,6 @@ func (s *Scenario) failureConfig(on bool) interference.FailureConfig {
 func (s *Scenario) execReplica(cfg replicaCfg, seed int64, pool *cluster.Pool, tc *traceCapture) (Sample, error) {
 	switch cfg.kind {
 	case KindApp:
-		perRank := s.Workload.PerRank
-		if perRank == nil {
-			gen, err := generatorFor(cfg.generator)
-			if err != nil {
-				return Sample{}, err
-			}
-			perRank = gen
-		}
 		return execCampaign(CampaignConfig{
 			Machine:                 cfg.machine,
 			Writers:                 cfg.procs,
@@ -239,7 +233,7 @@ func (s *Scenario) execReplica(cfg replicaCfg, seed int64, pool *cluster.Pool, t
 			NoNoise:                 !cfg.noise,
 			Seed:                    seed,
 			IO:                      cfg.transport.adiosOptions(),
-			PerRank:                 perRank,
+			PerRank:                 cfg.perRank,
 			Interference:            cfg.condition == ConditionInterference,
 			InterferenceOSTs:        s.Interference.OSTs,
 			InterferenceProcsPerOST: s.Interference.ProcsPerOST,
@@ -487,10 +481,6 @@ func (s *Scenario) execJobMix(cfg replicaCfg, seed int64, pool *cluster.Pool, tc
 		var mk func(i int) cluster.RankCont
 		switch jc.kind {
 		case JobKindApp:
-			perRank, err := generatorFor(jc.generator)
-			if err != nil {
-				return Sample{}, err
-			}
 			io, err := adios.NewIO(c, w, jc.transport.adiosOptions())
 			if err != nil {
 				return Sample{}, err
@@ -500,7 +490,7 @@ func (s *Scenario) execJobMix(cfg replicaCfg, seed int64, pool *cluster.Pool, tc
 				mk = func(i int) cluster.RankCont {
 					return &jobAppCont{
 						phases: jc.phases, start: jc.start, period: jc.period,
-						io: io, names: names, perRank: perRank, errp: &run.err,
+						io: io, names: names, perRank: jc.perRank, errp: &run.err,
 					}
 				}
 				break
@@ -509,7 +499,7 @@ func (s *Scenario) execJobMix(cfg replicaCfg, seed int64, pool *cluster.Pool, tc
 				for ph := 0; ph < jc.phases; ph++ {
 					r.Proc().SleepUntil(simkernel.FromSeconds(jc.start + float64(ph)*jc.period))
 					f := io.Open(r, fmt.Sprintf("%s.ph%03d.bp", jc.name, ph))
-					f.WriteData(perRank(r.Rank()))
+					f.WriteData(jc.perRank(r.Rank()))
 					if _, err := f.Close(); err != nil && run.err == nil {
 						run.err = err
 						return
@@ -639,14 +629,6 @@ func iorSample(r ior.Result) Sample {
 		PerWriterBW:   r.PerWriterBW,
 		FailedWriters: r.FailedWriters,
 	}
-}
-
-func generatorFor(name string) (func(rank int) iomethod.RankData, error) {
-	gen, err := workloads.ByName(name)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	return gen.PerRank, nil
 }
 
 // targetList returns [0, 1, ..., n), or nil for n <= 0 (= all targets).

@@ -29,10 +29,13 @@ import (
 // memoPerRank wraps a per-rank generator with a lazily filled cache. A
 // rank's RankData is a deterministic function of the rank alone and every
 // consumer treats it as immutable (iomethod.BuildEntries copies what it
-// keeps), so figure-scale drivers that replay the same workload across many
-// campaign replicas pay the generation cost once per rank instead of once
-// per replica. The mutex makes the cache safe for the parallel replica
-// runners; results are identical regardless of which worker fills an entry.
+// keeps), so replaying the same workload across many campaign replicas pays
+// the generation cost once per rank instead of once per replica. The cache
+// lives as long as the Generator holding it: scenario.Run resolves each
+// grid point's generator once, so one memo serves every replica and worker
+// of the point, while each ByName call starts a fresh, empty one. The mutex
+// makes the cache safe for the parallel replica runners; results are
+// identical regardless of which worker fills an entry.
 func memoPerRank(gen func(rank int) iomethod.RankData) func(rank int) iomethod.RankData {
 	var mu sync.Mutex
 	cache := make(map[int]iomethod.RankData)
@@ -403,46 +406,59 @@ func MDTestGen() Generator {
 	}
 }
 
+// generators is the name→constructor table behind All, Names and ByName,
+// in All() order. Each entry's name is the Name its constructor returns
+// (TestGeneratorTableNames), so a lookup builds only the generator it
+// returns.
+var generators = []struct {
+	name string
+	new  func() Generator
+}{
+	{"pixie3d-small", func() Generator { return Pixie3DGen(Pixie3DSmall) }},
+	{"pixie3d-large", func() Generator { return Pixie3DGen(Pixie3DLarge) }},
+	{"pixie3d-extra large", func() Generator { return Pixie3DGen(Pixie3DXL) }},
+	{"xgc1", XGC1Gen},
+	{"gtc", GTCGen},
+	{"gts", GTSGen},
+	{"chimera", ChimeraGen},
+	{"s3d", func() Generator { return S3DGen(38 * 1024 * 1024) }},
+	{"mltrain", MLTrainGen},
+	{"mdtest", MDTestGen},
+}
+
 // All returns every workload generator at its representative size, for
 // sweep-style harnesses.
 func All() []Generator {
-	return []Generator{
-		Pixie3DGen(Pixie3DSmall),
-		Pixie3DGen(Pixie3DLarge),
-		Pixie3DGen(Pixie3DXL),
-		XGC1Gen(),
-		GTCGen(),
-		GTSGen(),
-		ChimeraGen(),
-		S3DGen(38 * 1024 * 1024),
-		MLTrainGen(),
-		MDTestGen(),
+	out := make([]Generator, len(generators))
+	for i, g := range generators {
+		out[i] = g.new()
 	}
+	return out
 }
 
 // Names returns every generator name, sorted, for error messages and
 // discovery surfaces.
 func Names() []string {
-	all := All()
-	names := make([]string, len(all))
-	for i, g := range all {
-		names[i] = g.Name
+	names := make([]string, len(generators))
+	for i, g := range generators {
+		names[i] = g.name
 	}
 	sort.Strings(names)
 	return names
 }
 
-// ByName looks a generator up by its All() name; "pixie3d-xl" is accepted
-// as a spelling of the space-containing "pixie3d-extra large". Unknown names
-// return an error listing the available generators (sorted), so spec
+// ByName constructs the generator with the given All() name; "pixie3d-xl"
+// is accepted as a spelling of the space-containing "pixie3d-extra large".
+// Each call returns a fresh generator with its own per-rank memo. Unknown
+// names return an error listing the available generators (sorted), so spec
 // validation messages tell the user what would have worked.
 func ByName(name string) (Generator, error) {
 	if name == "pixie3d-xl" {
 		name = "pixie3d-extra large"
 	}
-	for _, g := range All() {
-		if g.Name == name {
-			return g, nil
+	for _, g := range generators {
+		if g.name == name {
+			return g.new(), nil
 		}
 	}
 	return Generator{}, fmt.Errorf("workloads: unknown generator %q (available: %s)",

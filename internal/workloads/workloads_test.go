@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -141,5 +142,23 @@ func TestGTCRepresentativeSize(t *testing.T) {
 	// codes generate on a per process basis, such as GTC".
 	if GTCGen().BytesPerProcess != 128*1024*1024 {
 		t.Fatal("GTC size drifted from the paper's reference")
+	}
+}
+
+func TestGeneratorTableNames(t *testing.T) {
+	for _, e := range generators {
+		if g := e.new(); g.Name != e.name {
+			t.Errorf("table name %q constructs generator %q", e.name, g.Name)
+		}
+		g, err := ByName(e.name)
+		if err != nil || g.Name != e.name {
+			t.Errorf("ByName(%q) = %q, %v", e.name, g.Name, err)
+		}
+	}
+	if g, err := ByName("pixie3d-xl"); err != nil || g.Name != "pixie3d-extra large" {
+		t.Errorf("ByName(pixie3d-xl) = %q, %v", g.Name, err)
+	}
+	if _, err := ByName("nope"); err == nil || !strings.Contains(err.Error(), "available: chimera, gtc, gts, mdtest") {
+		t.Errorf("unknown-name error = %v", err)
 	}
 }
