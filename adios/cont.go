@@ -9,18 +9,15 @@ import (
 
 // Continuation-engine support. A rank body running as a run-to-completion
 // state machine (cluster.World.LaunchCont) closes its output step through
-// CloseCont instead of the blocking Close. The blocking Close runs the
-// same step machine on the rank's goroutine (the transports' WriteStep is
-// an Await adaptor over it), so results are identical either way.
+// CloseCont instead of the blocking Close. Every transport's step is a
+// continuation machine, and the blocking Close awaits the same machine on
+// the rank's goroutine, so results are identical either way.
 
-// ContCapable reports whether the configured transport can run a step on
-// the continuation engine (the MPI-IO and adaptive methods can; POSIX and
-// staging keep their goroutine bodies). Callers fall back to Launch/Close
-// when it is false.
-func (io *IO) ContCapable() bool {
-	_, ok := io.method.(iomethod.ContMethod)
-	return ok
-}
+// ContCapable reports true: every transport runs its step on the
+// continuation engine.
+//
+// Deprecated: there is no goroutine-only transport left to fall back for.
+func (io *IO) ContCapable() bool { return true }
 
 // CloseCont is a collective close in flight: the continuation counterpart
 // of File.Close. The zero value is ready; one CloseCont may be reused
@@ -32,19 +29,14 @@ type CloseCont struct {
 	res StepResult
 }
 
-// BeginCloseCont arms cc to perform this file's collective output. The
-// transport must be ContCapable; like Close, the file is consumed (a second
-// close of the same handle fails).
+// BeginCloseCont arms cc to perform this file's collective output. Like
+// Close, the file is consumed (a second close of the same handle fails).
 func (f *File) BeginCloseCont(cc *CloseCont) {
 	if f.done {
 		panic(fmt.Sprintf("adios: double Close on step %q", f.name))
 	}
 	f.done = true
-	cm, ok := f.io.method.(iomethod.ContMethod)
-	if !ok {
-		panic("adios: BeginCloseCont on a transport without continuation support")
-	}
-	*cc = CloseCont{sc: cm.BeginStepCont(f.rank, f.name, f.data)}
+	*cc = CloseCont{sc: f.io.method.BeginStepCont(f.rank, f.name, f.data)}
 }
 
 // Step drives the collective close; see simkernel.Cont.

@@ -368,10 +368,7 @@ func (c *Cluster) RunFor(d time.Duration) float64 {
 // have all returned, then stops (leaving noise/interference processes
 // suspended). It returns the final virtual time in seconds.
 func (c *Cluster) RunUntilDone(wg *Join) float64 {
-	c.kernel.Spawn("cluster-joiner", func(p *simkernel.Proc) {
-		wg.wg.Wait(p)
-		c.kernel.Stop()
-	})
+	c.kernel.SpawnJoin("cluster-joiner", wg.wg, c.kernel.Stop)
 	c.kernel.Run()
 	return c.kernel.Now().Seconds()
 }

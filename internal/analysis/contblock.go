@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // ContBlock rejects goroutine-blocking operations inside continuation
@@ -21,9 +22,16 @@ import (
 // goroutine-engine bodies: many machines serve both engines), and the
 // blocking primitives' own implementations. The SC/C pump boundary and
 // other deliberate crossings carry //repro:allow contblock <reason>.
+//
+// The analyzer also keeps the library on one engine: non-test code under
+// internal/, cluster/ and adios/ must not start goroutine processes
+// (Kernel.Spawn, SpawnAt, SpawnJob) — every simulation process there is a
+// continuation (SpawnCont, SpawnJoin). The kernel itself and mpisim's
+// World.Launch, the goroutine rank launcher behind the public sequential
+// API, are exempt; cmd/, examples/ and tests may use goroutines freely.
 var ContBlock = &Analyzer{
 	Name: "contblock",
-	Doc:  "continuation bodies must not call goroutine-blocking kernel or runtime primitives",
+	Doc:  "continuation bodies must not call goroutine-blocking kernel or runtime primitives, and library code must not spawn goroutine processes",
 	Run:  runContBlock,
 }
 
@@ -48,7 +56,6 @@ var blockedOps = map[blockedOp]string{
 	{contProcPkg, "Kernel", "Run"}:        "",
 	{contProcPkg, "Kernel", "RunUntil"}:   "",
 	{mpisimPkg, "Rank", "Recv"}:           "RecvCont",
-	{mpisimPkg, "Rank", "RecvAs"}:         "RecvCont",
 	{mpisimPkg, "Rank", "Barrier"}:        "",
 	{mpisimPkg, "Rank", "Gather"}:         "",
 	{mpisimPkg, "Rank", "Bcast"}:          "",
@@ -82,7 +89,60 @@ func runContBlock(pass *Pass) error {
 			checkContFunc(pass, fn)
 		}
 	}
+	if spawnGuarded(pass.Pkg.Path()) {
+		checkSpawns(pass)
+	}
 	return nil
+}
+
+// goroutineSpawns are the Kernel methods that start a goroutine process.
+var goroutineSpawns = map[string]bool{"Spawn": true, "SpawnAt": true, "SpawnJob": true}
+
+// spawnGuarded reports whether a package is library code that must spawn
+// continuations only: under internal/, cluster/ or adios/, but not the
+// kernel that implements both engines.
+func spawnGuarded(path string) bool {
+	p := basePath(path)
+	if p == contProcPkg {
+		return false
+	}
+	for _, root := range []string{"repro/internal", "repro/cluster", "repro/adios"} {
+		if p == root || strings.HasPrefix(p, root+"/") {
+			return true
+		}
+	}
+	return false
+}
+
+// checkSpawns reports every goroutine-process spawn in the package's
+// non-test files, outside mpisim's World.Launch.
+func checkSpawns(pass *Pass) {
+	for _, f := range pass.Files {
+		if isTestFile(pass, f) {
+			continue
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && basePath(pass.Pkg.Path()) == mpisimPkg && fn.Name.Name == "Launch" {
+				if tn := recvTypeName(pass, fn); tn != nil && tn.Name() == "World" {
+					continue
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fn := calleeFunc(pass.Info, call)
+				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != contProcPkg || !goroutineSpawns[fn.Name()] {
+					return true
+				}
+				if recv := methodRecvTypeName(fn); recv != nil && recv.Name() == "Kernel" {
+					pass.Reportf(call.Pos(), "Kernel.%s starts a goroutine process in library code; spawn a continuation (SpawnCont, or SpawnJoin for a joiner) — goroutine processes stay behind mpisim's World.Launch (or waive with //repro:allow contblock <reason>)", fn.Name())
+				}
+				return true
+			})
+		}
+	}
 }
 
 // isBlockedOpDecl reports whether fn declares one of the blocked primitives.

@@ -42,8 +42,9 @@ func loadFixture(t *testing.T, dir, path string) *Package {
 
 // loadFixtureEdited loads a fixture with an optional source rewrite applied
 // to each file before parsing — the hook the mutation tests use to delete a
-// line and prove the analyzers notice.
-func loadFixtureEdited(t *testing.T, dir, path string, edit func(name string, src []byte) []byte) *Package {
+// line and prove the analyzers notice. deps are already-loaded fixture
+// packages the fixture imports by their load paths.
+func loadFixtureEdited(t *testing.T, dir, path string, edit func(name string, src []byte) []byte, deps ...*Package) *Package {
 	t.Helper()
 	fixdir := filepath.Join("testdata", "src", dir)
 	entries, err := os.ReadDir(fixdir)
@@ -72,8 +73,12 @@ func loadFixtureEdited(t *testing.T, dir, path string, edit func(name string, sr
 	if len(pkg.Files) == 0 {
 		t.Fatalf("no .go files in %s", fixdir)
 	}
+	imp := fixtureImporter{src: importer.ForCompiler(pkg.Fset, "source", nil), deps: map[string]*types.Package{}}
+	for _, d := range deps {
+		imp.deps[d.Path] = d.Types
+	}
 	conf := types.Config{
-		Importer: importer.ForCompiler(pkg.Fset, "source", nil),
+		Importer: imp,
 		Sizes:    types.SizesFor("gc", runtime.GOARCH),
 	}
 	tpkg, err := conf.Check(path, pkg.Fset, pkg.Files, pkg.Info)
@@ -82,6 +87,20 @@ func loadFixtureEdited(t *testing.T, dir, path string, edit func(name string, sr
 	}
 	pkg.Types = tpkg
 	return pkg
+}
+
+// fixtureImporter serves fixture packages by import path and everything
+// else from source.
+type fixtureImporter struct {
+	src  types.Importer
+	deps map[string]*types.Package
+}
+
+func (fi fixtureImporter) Import(path string) (*types.Package, error) {
+	if p, ok := fi.deps[path]; ok {
+		return p, nil
+	}
+	return fi.src.Import(path)
 }
 
 var wantRE = regexp.MustCompile("`([^`]*)`")
@@ -181,6 +200,35 @@ func TestPoolOwn(t *testing.T) {
 
 func TestContBlock(t *testing.T) {
 	runFixture(t, "contblock", "repro/internal/simkernel", []*Analyzer{ContBlock})
+}
+
+// TestContBlockSpawn runs the goroutine-spawn guard over library fixtures
+// importing the contblock fixture's kernel mirror: spawns are reported in
+// internal/ code, World.Launch in mpisim is exempt, and outside the
+// library trees the guard is silent.
+func TestContBlockSpawn(t *testing.T) {
+	kernel := loadFixture(t, "contblock", "repro/internal/simkernel")
+	for _, fx := range []struct{ dir, path string }{
+		{"contspawn", "repro/internal/fixture"},
+		{"contspawn_mpisim", "repro/internal/mpisim"},
+	} {
+		pkg := loadFixtureEdited(t, fx.dir, fx.path, nil, kernel)
+		diags, err := RunSuite(pkg, []*Analyzer{ContBlock})
+		if err != nil {
+			t.Fatalf("RunSuite: %v", err)
+		}
+		checkExpectations(t, pkg, diags)
+	}
+	pkg := loadFixtureEdited(t, "contspawn", "repro/cmd/fixture", nil, kernel)
+	diags, err := RunSuite(pkg, []*Analyzer{ContBlock})
+	if err != nil {
+		t.Fatalf("RunSuite: %v", err)
+	}
+	for _, d := range diags {
+		if strings.Contains(d.Message, "goroutine process") {
+			t.Errorf("spawn guard fired outside the library trees: %s", d.Message)
+		}
+	}
 }
 
 func TestRingDiscipline(t *testing.T) {

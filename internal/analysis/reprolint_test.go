@@ -168,6 +168,46 @@ func TestContBlockMutation(t *testing.T) {
 	}
 }
 
+// TestContBlockSpawnMutation turns the tracer's continuation sampler back
+// into a goroutine process and demands contblock's spawn guard flags it:
+// the proof that the guard watches real library packages.
+func TestContBlockSpawnMutation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds export data for the trace subtree")
+	}
+	root := repoRoot(t)
+	target := filepath.Join(root, "internal", "trace", "trace.go")
+	src, err := os.ReadFile(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const anchor = `fs.K.SpawnCont("tracer", (*sampler)(t))`
+	if !strings.Contains(string(src), anchor) {
+		t.Fatalf("mutation anchor %q not found in %s", anchor, target)
+	}
+	mutated := strings.Replace(string(src), anchor, `fs.K.Spawn("tracer", func(*simkernel.Proc) {})`, 1)
+
+	pkgs, err := load(root, map[string][]byte{target: []byte(mutated)}, []string{"./internal/trace"})
+	if err != nil {
+		t.Fatalf("load with overlay: %v", err)
+	}
+	found := false
+	for _, pkg := range pkgs {
+		diags, err := RunSuite(pkg, []*Analyzer{ContBlock})
+		if err != nil {
+			t.Fatalf("RunSuite(%s): %v", pkg.Path, err)
+		}
+		for _, d := range diags {
+			if strings.Contains(d.Message, "Kernel.Spawn starts a goroutine process") {
+				found = true
+			}
+		}
+	}
+	if !found {
+		t.Errorf("contblock missed the goroutine tracer planted in trace.Start")
+	}
+}
+
 func TestResetCompleteMutation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds export data for the pfs subtree")

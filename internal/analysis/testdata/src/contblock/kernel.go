@@ -47,6 +47,15 @@ func (r *Resource) AcquireCont(c *ContProc) bool { return true }
 
 type Kernel struct{ now Time }
 
-func (k *Kernel) Run() Time                           { return k.now }
-func (k *Kernel) RunUntil(deadline Time) Time         { return k.now }
-func (k *Kernel) Spawn(name string, fn func(p *Proc)) {}
+func (k *Kernel) Run() Time                                       { return k.now }
+func (k *Kernel) RunUntil(deadline Time) Time                     { return k.now }
+func (k *Kernel) Spawn(name string, fn func(p *Proc))             {}
+func (k *Kernel) SpawnAt(at Time, name string, fn func(p *Proc))  {}
+func (k *Kernel) SpawnJob(name string, job int, fn func(p *Proc)) {}
+func (k *Kernel) SpawnCont(name string, body Cont)                {}
+func (k *Kernel) SpawnJoin(name string, wg *WaitGroup, fn func()) {}
+
+// Cont is a continuation body.
+type Cont interface{ Step(c *ContProc) bool }
+
+type WaitGroup struct{ n int }

@@ -469,18 +469,43 @@ func StartArtificial(fs *pfs.FileSystem, cfg ArtificialConfig) *Artificial {
 		cfg.ChunkBytes = 1 * pfs.GB
 	}
 	a := &Artificial{}
-	for _, ost := range cfg.OSTs {
+	ws := make([]interferer, len(cfg.OSTs)*cfg.ProcsPerOST)
+	for i, ost := range cfg.OSTs {
 		for j := 0; j < cfg.ProcsPerOST; j++ {
-			ost := ost
-			fs.K.Spawn(fmt.Sprintf("interferer-ost%d-%d", ost, j), func(p *simkernel.Proc) {
-				for !a.stopped {
-					fs.OST(ost).Write(p, cfg.ChunkBytes)
-					a.Writes++
-				}
-			})
+			w := &ws[i*cfg.ProcsPerOST+j]
+			*w = interferer{a: a, o: fs.OST(ost), chunk: cfg.ChunkBytes}
+			fs.K.SpawnCont(fmt.Sprintf("interferer-ost%d-%d", ost, j), w)
 		}
 	}
 	return a
+}
+
+// interferer is one continuous writer: chunk after chunk to its target
+// until the workload is stopped.
+type interferer struct {
+	a       *Artificial
+	o       *pfs.OST
+	chunk   float64
+	writing bool
+	op      pfs.OSTWriteOp
+}
+
+//repro:hotpath
+func (w *interferer) Step(c *simkernel.ContProc) bool {
+	for {
+		if !w.writing {
+			if w.a.stopped {
+				return true
+			}
+			w.op.BeginWrite(w.o, w.chunk)
+			w.writing = true
+		}
+		if !w.op.Step(c) {
+			return false
+		}
+		w.writing = false
+		w.a.Writes++
+	}
 }
 
 // Stop ends the interference writers after their in-flight writes complete.

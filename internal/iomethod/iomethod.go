@@ -1,18 +1,19 @@
 // Package iomethod defines the common contract between the ADIOS-like
 // middleware facade and its transport methods (the adaptive method of the
 // paper's Section III, the tuned MPI-IO baseline it is evaluated against,
-// and a plain POSIX file-per-process method).
+// a plain POSIX file-per-process method, and data staging).
 //
-// A Method executes one collective output step: every rank of a world calls
-// WriteStep with its own data; the method routes bytes to the file system
-// and produces per-writer timings plus (for index-producing methods) a
-// global index.
+// A Method executes one collective output step: every rank of a world runs
+// the method's step machine with its own data; the method routes bytes to
+// the file system and produces per-writer timings plus (for
+// index-producing methods) a global index.
 package iomethod
 
 import (
 	"repro/internal/bp"
 	"repro/internal/mpisim"
 	"repro/internal/pfs"
+	"repro/internal/simkernel"
 )
 
 // VarSpec describes one variable block a rank contributes to an output
@@ -94,18 +95,36 @@ func (r *StepResult) AggregateBW() float64 {
 	return r.TotalBytes / r.Elapsed
 }
 
-// Method is a collective output transport. WriteStep must be called by
-// every rank of the world, each passing its own data; it returns after this
-// rank's participation in the step (including any coordination roles the
-// rank carries) has finished. The returned StepResult pointer is the same
-// object for all ranks of the step; it is fully populated once every rank
-// has returned.
+// Method is a collective output transport. Every rank of the world runs
+// one step, each passing its own data; a rank's participation (including
+// any coordination roles it carries) finishes when its step does. The
+// StepResult pointer is the same object for all ranks of the step; it is
+// fully populated once every rank has finished.
 type Method interface {
-	// Name identifies the method ("MPI", "ADAPTIVE", "POSIX").
+	// Name identifies the method ("MPI", "ADAPTIVE", "POSIX", "STAGING").
 	Name() string
-
-	// WriteStep performs one collective output operation named stepName.
+	// BeginStepCont arms and returns the rank's step machine for the
+	// collective output operation named stepName. It performs no
+	// simulation work itself (no events, no random draws), so a body may
+	// call it at any point before first driving the machine.
+	BeginStepCont(r *mpisim.Rank, stepName string, data RankData) StepCont
+	// WriteStep is the blocking form for goroutine rank bodies: it awaits
+	// the BeginStepCont machine on the rank's process.
 	WriteStep(r *mpisim.Rank, stepName string, data RankData) (*StepResult, error)
+}
+
+// StepCont is one rank's collective output step in flight. Step follows
+// the simkernel.Cont protocol — it returns true when this rank's
+// participation has finished, or arranges a wakeup, marks the process
+// parked, and returns false. Wakeups re-enter Step to continue the same
+// operation (advance style), so the driving machine must move its own
+// program counter past the step before yielding.
+type StepCont interface {
+	// Step drives the rank's participation; see simkernel.Cont.
+	Step(c *simkernel.ContProc) bool
+	// Result returns the step's shared result and this rank's error;
+	// valid once Step has returned true.
+	Result() (*StepResult, error)
 }
 
 // Factory builds a method bound to a world and file system.

@@ -108,10 +108,7 @@ func (r *Run) Done() bool { return r.done.Count() == 0 }
 // cannot rely on natural drain — e.g. a tracer keeps the kernel alive —
 // join on the run and stop the kernel explicitly.
 func (r *Run) OnDone(k *simkernel.Kernel, fn func()) {
-	k.Spawn("ior-watch", func(p *simkernel.Proc) {
-		r.done.Wait(p)
-		fn()
-	})
+	k.SpawnJoin("ior-watch", r.done, fn)
 }
 
 // Result returns the measurements; it panics if writers are still running.
@@ -163,10 +160,7 @@ func Launch(fs *pfs.FileSystem, cfg Config) (*Run, error) {
 
 	// A starter process releases the writers once all files exist,
 	// emulating MPI_Barrier after the untimed open phase.
-	fs.K.Spawn("ior-starter", func(p *simkernel.Proc) {
-		ready.Wait(p)
-		start.Broadcast()
-	})
+	fs.K.SpawnJoin("ior-starter", ready, start.Broadcast)
 
 	launchWriters(fs, run, osts, ready, start)
 	return run, nil
@@ -182,8 +176,7 @@ func Execute(fs *pfs.FileSystem, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	finished := false
-	fs.K.Spawn("ior-joiner", func(p *simkernel.Proc) {
-		run.done.Wait(p)
+	fs.K.SpawnJoin("ior-joiner", run.done, func() {
 		finished = true
 		fs.K.Stop()
 	})

@@ -165,7 +165,7 @@ func (w *World) Reset(opt Options) {
 		// Reset already unwound. Drop them without recycling: a
 		// continuation-side waiter is embedded in its RecvOp (not
 		// freelist-owned), and pushing it onto wfree would let a later
-		// RecvAs scribble over a machine the next replica reuses.
+		// Recv scribble over a machine the next replica reuses.
 		r.waiters.Reset()
 	}
 }
@@ -233,7 +233,7 @@ type Rank struct {
 
 	queue   simkernel.Ring[Message]
 	waiters simkernel.Ring[*recvWaiter]
-	wfree   []*recvWaiter // recycled RecvAs waiter records
+	wfree   []*recvWaiter // recycled Recv waiter records
 }
 
 // Rank returns this rank's index.
@@ -278,20 +278,12 @@ func (dst *Rank) deliver(m Message) {
 // Use AnySource / AnyTag as wildcards. Messages from the same source with
 // the same tag are received in send order.
 func (r *Rank) Recv(from, tag int) Message {
-	return r.RecvAs(r.p, from, tag)
-}
-
-// RecvAs is Recv for an explicit simulation process. A rank may carry
-// auxiliary roles (the adaptive method's sub-coordinator and coordinator
-// loops) running as helper processes on the same kernel; each role receives
-// on the rank's mailbox with its own tag space. Concurrent receivers must
-// use disjoint tag patterns, or one role will steal another's messages.
-func (r *Rank) RecvAs(p *simkernel.Proc, from, tag int) Message {
 	for i, n := 0, r.queue.Len(); i < n; i++ {
 		if matches(from, tag, r.queue.At(i)) {
 			return r.queue.RemoveAt(i)
 		}
 	}
+	p := r.p
 	var w *recvWaiter
 	if n := len(r.wfree); n > 0 {
 		w = r.wfree[n-1]

@@ -66,25 +66,31 @@ func (s *mdsOp) step(c *simkernel.ContProc) bool {
 	}
 }
 
-// ostWrite is one OST write in flight: the fixed per-operation latency,
-// then ingest until the last byte is accepted — or, against a Dead target,
-// the configured timeout followed by ErrTargetDown in err.
-type ostWrite struct {
+// OSTWriteOp is one OST write in flight (OST.Write): the fixed
+// per-operation latency, then ingest until the last byte is accepted — or,
+// against a Dead target, the configured timeout followed by ErrTargetDown
+// in Err. File writes drive one per chunk; a client that streams straight
+// to a target (the artificial interferers) drives it directly.
+type OSTWriteOp struct {
 	pc    int
 	o     *OST
 	bytes float64
 	err   error
 }
 
-func (s *ostWrite) begin(o *OST, bytes float64) {
+// BeginWrite arms the op for a write of bytes to o; drive it with Step
+// until true.
+func (s *OSTWriteOp) BeginWrite(o *OST, bytes float64) {
 	s.pc = 0
 	s.o = o
 	s.bytes = bytes
 	s.err = nil
 }
 
+// Step drives the write.
+//
 //repro:hotpath
-func (s *ostWrite) step(c *simkernel.ContProc) bool {
+func (s *OSTWriteOp) Step(c *simkernel.ContProc) bool {
 	for {
 		switch s.pc {
 		case 0:
@@ -119,6 +125,9 @@ func (s *ostWrite) step(c *simkernel.ContProc) bool {
 		}
 	}
 }
+
+// Err returns the write error, if any; valid after Step returned true.
+func (s *OSTWriteOp) Err() error { return s.err }
 
 // ostFlush is one OST flush in flight: wait until every byte ingested
 // before the call has drained.
@@ -266,7 +275,7 @@ type WriteOp struct {
 	chunks  []chunk
 	i       int
 	started bool
-	w       ostWrite
+	w       OSTWriteOp
 	err     error
 }
 
@@ -307,10 +316,10 @@ func (op *WriteOp) Step(c *simkernel.ContProc) bool {
 		if !op.started {
 			ch := op.chunks[op.i]
 			f.touched[ch.ost] = struct{}{}
-			op.w.begin(f.fs.OSTs[ch.ost], float64(ch.bytes))
+			op.w.BeginWrite(f.fs.OSTs[ch.ost], float64(ch.bytes))
 			op.started = true
 		}
-		if !op.w.step(c) {
+		if !op.w.Step(c) {
 			return false
 		}
 		if op.w.err != nil {

@@ -264,9 +264,9 @@ func (o *OST) StartWrite(bytes float64, streamCap float64, done func()) {
 //
 //repro:hotpath
 func (o *OST) Write(p *simkernel.Proc, bytes float64) error {
-	var op ostWrite
-	op.begin(o, bytes)
-	p.Await(op.step)
+	var op OSTWriteOp
+	op.BeginWrite(o, bytes)
+	p.Await(op.Step)
 	return op.err
 }
 

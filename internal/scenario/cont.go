@@ -12,9 +12,8 @@ import (
 )
 
 // The scenario executors' rank bodies, as continuation machines. The
-// adios-backed bodies (campaignCont, jobAppCont) need a transport whose
-// step can run as a continuation (adios.IO.ContCapable); exec.go runs
-// other transports' steps on goroutine rank bodies instead.
+// adios-backed bodies (campaignCont, jobAppCont) drive every transport's
+// step through adios.CloseCont.
 
 // campaignOut collects the campaign step's shared outcome (all ranks
 // return the same step-result pointer).

@@ -123,28 +123,23 @@ func execCampaign(cfg CampaignConfig, tc *traceCapture) (Sample, error) {
 	if cfg.PerRank == nil {
 		return Sample{}, fmt.Errorf("scenario: campaign needs a per-rank generator")
 	}
-	c, err := cfg.Pool.Rent(cfg.Machine, cluster.Config{
-		Seed:            cfg.Seed,
-		NumOSTs:         cfg.NumOSTs,
-		ProductionNoise: !cfg.NoNoise,
-		Failures:        cfg.Failures,
-	})
-	if err != nil {
-		return Sample{}, err
-	}
-	defer cfg.Pool.Return(c)
-	defer tc.finish()
-
-	if err := applySlow(c, cfg.SlowOSTs); err != nil {
-		return Sample{}, err
-	}
+	var art *interference.ArtificialConfig
 	if cfg.Interference {
 		// The paper's artificial interference: stripe count 8 (two
 		// applications at the default stripe count of 4), three 1 GB
 		// writers per target.
-		c.StartArtificialInterference(cfg.InterferenceOSTs, cfg.InterferenceProcsPerOST, cfg.InterferenceChunkBytes)
+		art = &interference.ArtificialConfig{OSTs: cfg.InterferenceOSTs, ProcsPerOST: cfg.InterferenceProcsPerOST, ChunkBytes: cfg.InterferenceChunkBytes}
 	}
-	tc.attach(c)
+	c, release, err := rentWorld(cfg.Pool, cfg.Machine, cluster.Config{
+		Seed:            cfg.Seed,
+		NumOSTs:         cfg.NumOSTs,
+		ProductionNoise: !cfg.NoNoise,
+		Failures:        cfg.Failures,
+	}, cfg.SlowOSTs, art, tc)
+	if err != nil {
+		return Sample{}, err
+	}
+	defer release()
 
 	w := c.NewWorld(cfg.Writers)
 	io, err := adios.NewIO(c, w, cfg.IO)
@@ -154,26 +149,12 @@ func execCampaign(cfg CampaignConfig, tc *traceCapture) (Sample, error) {
 
 	var out campaignOut
 	stepName := fmt.Sprintf("%s.out", cfg.IO.Method)
-	var j *cluster.Join
-	if io.ContCapable() {
-		// One slab per replica instead of one heap object per rank.
-		conts := make([]campaignCont, cfg.Writers)
-		j = w.LaunchCont(func(i int) cluster.RankCont {
-			conts[i] = campaignCont{io: io, stepName: stepName, perRank: cfg.PerRank, out: &out}
-			return &conts[i]
-		})
-	} else {
-		j = w.Launch(func(r *cluster.Rank) {
-			f := io.Open(r, stepName)
-			f.WriteData(cfg.PerRank(r.Rank()))
-			rr, err := f.Close()
-			if err != nil {
-				out.err = err
-				return
-			}
-			out.res = rr
-		})
-	}
+	// One slab per replica instead of one heap object per rank.
+	conts := make([]campaignCont, cfg.Writers)
+	j := w.LaunchCont(func(i int) cluster.RankCont {
+		conts[i] = campaignCont{io: io, stepName: stepName, perRank: cfg.PerRank, out: &out}
+		return &conts[i]
+	})
 	c.RunUntilDone(j)
 	if out.err != nil {
 		return Sample{}, out.err
@@ -274,21 +255,11 @@ func (t Transport) adiosOptions() adios.Options {
 // execIOR runs one IOR benchmark sample in a clean environment — the shape
 // of the Figure 1 grid cells and Table I's hourly tests.
 func (s *Scenario) execIOR(cfg replicaCfg, seed int64, pool *cluster.Pool, tc *traceCapture) (Sample, error) {
-	c, err := pool.Rent(cfg.machine, cluster.Config{
-		Seed:            seed,
-		NumOSTs:         cfg.numOSTs,
-		ProductionNoise: cfg.noise,
-		Failures:        s.failureConfig(cfg.failures),
-	})
+	c, release, err := s.rent(cfg, seed, pool, tc)
 	if err != nil {
 		return Sample{}, err
 	}
-	defer pool.Return(c)
-	defer tc.finish()
-	if err := s.applyInterference(c, cfg); err != nil {
-		return Sample{}, err
-	}
-	tc.attach(c)
+	defer release()
 	r, err := ior.Execute(c.FileSystem(), ior.Config{
 		Writers:        cfg.writers,
 		OSTs:           iorTargets(cfg),
@@ -305,22 +276,13 @@ func (s *Scenario) execIOR(cfg replicaCfg, seed int64, pool *cluster.Pool, tc *t
 // execPairedIOR runs the XTP shape: one IOR alone, or two simultaneous IOR
 // programs overlapping at a seed-varied phase, measuring the first.
 func (s *Scenario) execPairedIOR(cfg replicaCfg, seed int64, pool *cluster.Pool, tc *traceCapture) (Sample, error) {
-	c, err := pool.Rent(cfg.machine, cluster.Config{
-		Seed:            seed,
-		NumOSTs:         cfg.numOSTs,
-		ProductionNoise: cfg.noise,
-		Failures:        s.failureConfig(cfg.failures),
-	})
+	c, release, err := s.rent(cfg, seed, pool, tc)
 	if err != nil {
 		return Sample{}, err
 	}
-	defer pool.Return(c)
-	defer tc.finish()
-	if err := s.applyInterference(c, cfg); err != nil {
-		return Sample{}, err
-	}
-	tc.attach(c)
+	defer release()
 	fs := c.FileSystem()
+	k := c.Kernel()
 
 	iorCfg := ior.Config{
 		Writers:        cfg.writers,
@@ -330,33 +292,21 @@ func (s *Scenario) execPairedIOR(cfg replicaCfg, seed int64, pool *cluster.Pool,
 		Flush:          cfg.flush,
 	}
 
-	// With a tracer attached the kernel never drains naturally (the sampler
-	// keeps it alive), so join on the runs explicitly; without one, keep
-	// the natural-drain path the golden Table I checksums pin.
-	var joinDone func()
-	expected := 1
+	// Join on the runs explicitly: a tracer's sampler would keep the
+	// kernel alive forever under natural drain.
+	runs := simkernel.NewWaitGroup(k)
+	runs.Add(1)
 	if cfg.withInterference {
-		expected = 2
+		runs.Add(1)
 	}
-	if tc != nil {
-		wg := simkernel.NewWaitGroup(c.Kernel())
-		wg.Add(expected)
-		joinDone = wg.Done
-		k := c.Kernel()
-		k.Spawn("scenario-joiner", func(p *simkernel.Proc) {
-			wg.Wait(p)
-			k.Stop()
-		})
-	}
+	k.SpawnJoin("scenario-joiner", runs, k.Stop)
 
 	iorCfg.Tag = "A"
 	runA, err := ior.Launch(fs, iorCfg)
 	if err != nil {
 		return Sample{}, err
 	}
-	if joinDone != nil {
-		runA.OnDone(c.Kernel(), joinDone)
-	}
+	runA.OnDone(k, runs.Done)
 	var runB *ior.Run
 	var launchErr error
 	if cfg.withInterference {
@@ -367,12 +317,12 @@ func (s *Scenario) execPairedIOR(cfg replicaCfg, seed int64, pool *cluster.Pool,
 		rng := rngx.NewNamed(seed, "xtp-phase")
 		estimate := float64(cfg.writers) * cfg.bytes / (float64(len(fs.OSTs)) * fs.Cfg.DiskBW * 0.8)
 		delay := rng.Uniform(0, estimate)
-		c.Kernel().AfterSeconds(delay, func() {
+		k.AfterSeconds(delay, func() {
 			bCfg := iorCfg
 			bCfg.Tag = "B"
 			runB, launchErr = ior.Launch(fs, bCfg)
-			if launchErr == nil && joinDone != nil {
-				runB.OnDone(fs.K, joinDone)
+			if launchErr == nil {
+				runB.OnDone(k, runs.Done)
 			}
 		})
 	}
@@ -389,21 +339,11 @@ func (s *Scenario) execPairedIOR(cfg replicaCfg, seed int64, pool *cluster.Pool,
 // execOpenStorm has `writers` ranks create one file each (stagger-spaced)
 // and measures the storm completion time and MDS queue peak.
 func (s *Scenario) execOpenStorm(cfg replicaCfg, seed int64, pool *cluster.Pool, tc *traceCapture) (Sample, error) {
-	c, err := pool.Rent(cfg.machine, cluster.Config{
-		Seed:            seed,
-		NumOSTs:         cfg.numOSTs,
-		ProductionNoise: cfg.noise,
-		Failures:        s.failureConfig(cfg.failures),
-	})
+	c, release, err := s.rent(cfg, seed, pool, tc)
 	if err != nil {
 		return Sample{}, err
 	}
-	defer pool.Return(c)
-	defer tc.finish()
-	if err := s.applyInterference(c, cfg); err != nil {
-		return Sample{}, err
-	}
-	tc.attach(c)
+	defer release()
 	fs := c.FileSystem()
 	k := c.Kernel()
 	wg := simkernel.NewWaitGroup(k)
@@ -423,10 +363,7 @@ func (s *Scenario) execOpenStorm(cfg replicaCfg, seed int64, pool *cluster.Pool,
 	// Join explicitly: a tracer's sampler would keep the kernel alive
 	// forever under natural drain, and the joiner perturbs nothing (no
 	// random draws, no storage traffic).
-	k.Spawn("scenario-joiner", func(p *simkernel.Proc) {
-		wg.Wait(p)
-		k.Stop()
-	})
+	k.SpawnJoin("scenario-joiner", wg, k.Stop)
 	k.Run()
 	return Sample{Elapsed: last.Seconds(), QueuePeak: fs.MDS.Stats.MaxQueue}, nil
 }
@@ -438,22 +375,11 @@ func (s *Scenario) execOpenStorm(cfg replicaCfg, seed int64, pool *cluster.Pool,
 // last phase completes; per-job measurements come from the file system's
 // attribution counters plus each job's observed completion time.
 func (s *Scenario) execJobMix(cfg replicaCfg, seed int64, pool *cluster.Pool, tc *traceCapture) (Sample, error) {
-	c, err := pool.Rent(cfg.machine, cluster.Config{
-		Seed:            seed,
-		NumOSTs:         cfg.numOSTs,
-		ProductionNoise: cfg.noise,
-		WorldShape:      cfg.shape,
-		Failures:        s.failureConfig(cfg.failures),
-	})
+	c, release, err := s.rent(cfg, seed, pool, tc)
 	if err != nil {
 		return Sample{}, err
 	}
-	defer pool.Return(c)
-	defer tc.finish()
-	if err := s.applyInterference(c, cfg); err != nil {
-		return Sample{}, err
-	}
-	tc.attach(c)
+	defer release()
 
 	fs := c.FileSystem()
 	k := c.Kernel()
@@ -474,10 +400,7 @@ func (s *Scenario) execJobMix(cfg replicaCfg, seed int64, pool *cluster.Pool, tc
 		runs[ji] = run
 		w := c.NewJobWorld(jc.name, run.id, jc.procs)
 
-		// Each kind launches its continuation machine (cont.go); an app
-		// job on a transport without a continuation step runs goroutine
-		// rank bodies instead.
-		var body func(r *cluster.Rank)
+		// Each kind launches its continuation machine (cont.go).
 		var mk func(i int) cluster.RankCont
 		switch jc.kind {
 		case JobKindApp:
@@ -485,25 +408,11 @@ func (s *Scenario) execJobMix(cfg replicaCfg, seed int64, pool *cluster.Pool, tc
 			if err != nil {
 				return Sample{}, err
 			}
-			if io.ContCapable() {
-				names := appStepNames(jc.name, jc.phases)
-				mk = func(i int) cluster.RankCont {
-					return &jobAppCont{
-						phases: jc.phases, start: jc.start, period: jc.period,
-						io: io, names: names, perRank: jc.perRank, errp: &run.err,
-					}
-				}
-				break
-			}
-			body = func(r *cluster.Rank) {
-				for ph := 0; ph < jc.phases; ph++ {
-					r.Proc().SleepUntil(simkernel.FromSeconds(jc.start + float64(ph)*jc.period))
-					f := io.Open(r, fmt.Sprintf("%s.ph%03d.bp", jc.name, ph))
-					f.WriteData(jc.perRank(r.Rank()))
-					if _, err := f.Close(); err != nil && run.err == nil {
-						run.err = err
-						return
-					}
+			names := appStepNames(jc.name, jc.phases)
+			mk = func(i int) cluster.RankCont {
+				return &jobAppCont{
+					phases: jc.phases, start: jc.start, period: jc.period,
+					io: io, names: names, perRank: jc.perRank, errp: &run.err,
 				}
 			}
 		case JobKindMLRead:
@@ -528,25 +437,15 @@ func (s *Scenario) execJobMix(cfg replicaCfg, seed int64, pool *cluster.Pool, tc
 			return Sample{}, fmt.Errorf("scenario: unknown job kind %q", jc.kind)
 		}
 
-		var wgJob *simkernel.WaitGroup
-		if mk != nil {
-			wgJob = w.MPI().LaunchCont(jc.name, mk)
-		} else {
-			wgJob = w.MPI().Launch(jc.name, body)
-		}
-		k.Spawn("jobmix-watch", func(p *simkernel.Proc) {
-			wgJob.Wait(p)
-			run.end = p.Now()
+		k.SpawnJoin("jobmix-watch", w.MPI().LaunchCont(jc.name, mk), func() {
+			run.end = k.Now()
 			all.Done()
 		})
 	}
 
 	// Noise and interference processes run forever, so join explicitly on
 	// the jobs rather than draining the kernel.
-	k.Spawn("jobmix-joiner", func(p *simkernel.Proc) {
-		all.Wait(p)
-		k.Stop()
-	})
+	k.SpawnJoin("jobmix-joiner", all, k.Stop)
 	k.Run()
 
 	out := Sample{Jobs: make([]JobSample, 0, len(cfg.jobs))}
@@ -583,17 +482,49 @@ func (s *Scenario) execJobMix(cfg replicaCfg, seed int64, pool *cluster.Pool, tc
 	return out, nil
 }
 
-// applyInterference stages the scenario's disturbance model on a fresh
-// cluster: deterministic slow targets plus, when the point's condition asks
-// for it, the artificial interference program.
-func (s *Scenario) applyInterference(c *cluster.Cluster, cfg replicaCfg) error {
-	if err := applySlow(c, s.Interference.SlowOSTs); err != nil {
-		return err
+// rentWorld is every executor's prelude: rent the replica's world from
+// pool, degrade the slow targets, start the artificial interference
+// program when art is non-nil, and attach the tracer. Defer the returned
+// release: it captures the trace while the world is still live, then
+// returns the world to the pool.
+func rentWorld(pool *cluster.Pool, machine string, cc cluster.Config, slow []SlowOST,
+	art *interference.ArtificialConfig, tc *traceCapture) (*cluster.Cluster, func(), error) {
+	c, err := pool.Rent(machine, cc)
+	if err != nil {
+		return nil, nil, err
 	}
+	release := func() {
+		tc.finish()
+		pool.Return(c)
+	}
+	if err := applySlow(c, slow); err != nil {
+		release()
+		return nil, nil, err
+	}
+	if art != nil {
+		c.StartArtificialInterference(art.OSTs, art.ProcsPerOST, art.ChunkBytes)
+	}
+	tc.attach(c)
+	return c, release, nil
+}
+
+// rent is rentWorld over the scenario's declared environment at one
+// resolved point: its machine and failure script, its slow targets and,
+// when the point's condition asks for it, the artificial interference
+// program.
+func (s *Scenario) rent(cfg replicaCfg, seed int64, pool *cluster.Pool, tc *traceCapture) (*cluster.Cluster, func(), error) {
+	var art *interference.ArtificialConfig
 	if cfg.condition == ConditionInterference {
-		c.StartArtificialInterference(s.Interference.OSTs, s.Interference.ProcsPerOST, s.Interference.ChunkMB*pfs.MB)
+		si := s.Interference
+		art = &interference.ArtificialConfig{OSTs: si.OSTs, ProcsPerOST: si.ProcsPerOST, ChunkBytes: si.ChunkMB * pfs.MB}
 	}
-	return nil
+	return rentWorld(pool, cfg.machine, cluster.Config{
+		Seed:            seed,
+		NumOSTs:         cfg.numOSTs,
+		ProductionNoise: cfg.noise,
+		WorldShape:      cfg.shape,
+		Failures:        s.failureConfig(cfg.failures),
+	}, s.Interference.SlowOSTs, art, tc)
 }
 
 func applySlow(c *cluster.Cluster, slow []SlowOST) error {

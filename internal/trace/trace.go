@@ -51,13 +51,22 @@ func Start(fs *pfs.FileSystem, interval float64) *Tracer {
 		interval = 1
 	}
 	t := &Tracer{fs: fs, interval: interval, MaxSamples: 100000}
-	fs.K.Spawn("tracer", func(p *simkernel.Proc) {
-		for !t.stopped && len(t.samples) < t.MaxSamples {
-			t.take(p.Now())
-			p.SleepSeconds(t.interval)
-		}
-	})
+	fs.K.SpawnCont("tracer", (*sampler)(t))
 	return t
+}
+
+// sampler is the tracer's continuation body: one sample per wakeup, then
+// sleep for the interval, until stopped or full.
+type sampler Tracer
+
+func (s *sampler) Step(c *simkernel.ContProc) bool {
+	t := (*Tracer)(s)
+	if t.stopped || len(t.samples) >= t.MaxSamples {
+		return true
+	}
+	t.take(c.Now())
+	c.SleepSeconds(t.interval)
+	return false
 }
 
 // take records one sample (kernel/process context).

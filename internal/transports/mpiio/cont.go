@@ -44,7 +44,7 @@ type stepCont struct {
 	err error
 }
 
-// BeginStepCont implements iomethod.ContMethod. It only arms the machine;
+// BeginStepCont implements iomethod.Method. It only arms the machine;
 // all simulation work happens in Step.
 func (m *Method) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.RankData) iomethod.StepCont {
 	st := m.getStep(stepName)

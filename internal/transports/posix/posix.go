@@ -38,11 +38,11 @@ type stepState struct {
 	seq      int
 	res      *iomethod.StepResult
 	setupWG  *simkernel.WaitGroup
-	start    *simkernel.Signal
 	t0       simkernel.Time
 	t0Set    bool
 	returned int
 	locals   []bp.LocalIndex
+	machines []stepCont // per rank, one backing array for the whole step
 }
 
 // New builds the POSIX method.
@@ -72,12 +72,12 @@ func (m *Method) step(stepName string) *stepState {
 		st = &stepState{
 			seq:     m.stepCount,
 			setupWG: simkernel.NewWaitGroup(k),
-			start:   simkernel.NewSignal(k),
 			res: &iomethod.StepResult{
 				WriterTimes: make([]float64, W),
 				Files:       W,
 			},
-			locals: make([]bp.LocalIndex, W),
+			locals:   make([]bp.LocalIndex, W),
+			machines: make([]stepCont, W),
 		}
 		m.stepCount++
 		st.setupWG.Add(W)
@@ -86,64 +86,151 @@ func (m *Method) step(stepName string) *stepState {
 	return st
 }
 
-// WriteStep implements iomethod.Method: create own file (untimed), barrier,
-// write + local index + flush + close (timed).
+// WriteStep implements iomethod.Method by running the rank's step machine
+// on the rank's goroutine.
 func (m *Method) WriteStep(r *mpisim.Rank, stepName string, data iomethod.RankData) (*iomethod.StepResult, error) {
+	sc := m.BeginStepCont(r, stepName, data)
+	r.Proc().Await(sc.Step)
+	return sc.Result()
+}
+
+// BeginStepCont implements iomethod.Method. It only arms the machine; all
+// simulation work happens in Step.
+func (m *Method) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.RankData) iomethod.StepCont {
 	st := m.step(stepName)
 	rank := r.Rank()
-	p := r.Proc()
-
-	target := m.cfg.OSTs[rank%len(m.cfg.OSTs)]
-	name := fmt.Sprintf("%s.r%06d.bp", stepName, rank)
-	f, err := m.fs.Create(p, name, pfs.Layout{OSTs: []int{target}})
-	if err != nil {
-		return nil, err
+	s := &st.machines[rank]
+	*s = stepCont{
+		m: m, st: st, rank: rank, data: data,
+		stepName: stepName,
+		name:     fmt.Sprintf("%s.r%06d.bp", stepName, rank),
 	}
-	st.setupWG.Done()
-	st.setupWG.Wait(p)
-	if !st.t0Set {
-		st.t0 = p.Now()
-		st.t0Set = true
-	}
-
-	entries, total := iomethod.BuildEntries(rank, 0, data)
-	werr := f.WriteAt(p, 0, total)
-	if werr == nil {
-		li := bp.LocalIndex{File: name, Entries: entries}
-		li.Sort()
-		encLen, err := li.EncodedLen()
-		if err != nil {
-			return nil, err
-		}
-		if _, aerr := f.Append(p, int64(encLen)); aerr != nil {
-			werr = aerr
-		} else {
-			st.res.IndexBytes += float64(encLen)
-			st.res.TotalBytes += float64(total)
-			st.locals[rank] = li
-			if !m.cfg.NoFlush {
-				f.Flush(p)
-			}
-		}
-	}
-	f.Close(p)
-
-	st.res.WriterTimes[rank] = (p.Now() - st.t0).Seconds()
-	if werr != nil {
-		// POSIX has no recovery: the rank's output is lost. Complete the
-		// collective bookkeeping so other ranks still finish the step.
-		st.res.WriteFailures++
-	}
-	if el := (p.Now() - st.t0).Seconds(); el > st.res.Elapsed {
-		st.res.Elapsed = el
-	}
-
-	st.returned++
-	if st.returned == m.w.Size() {
-		g := &bp.GlobalIndex{Step: int64(st.seq), Locals: st.locals}
-		g.Sort()
-		st.res.Global = g
-		delete(m.steps, stepName)
-	}
-	return st.res, werr
+	return s
 }
+
+// stepCont is one rank's POSIX step in flight: create its own file
+// (untimed), barrier, then write + local index + flush + close (timed).
+type stepCont struct {
+	m        *Method
+	st       *stepState
+	rank     int
+	data     iomethod.RankData
+	stepName string
+	name     string
+
+	pc    int
+	f     *pfs.File
+	total int64
+	li    bp.LocalIndex
+	enc   int64
+
+	create  pfs.CreateOp
+	write   pfs.WriteOp
+	flush   pfs.FlushOp
+	closeOp pfs.CloseOp
+
+	res *iomethod.StepResult
+	err error
+}
+
+// Step drives the rank's step. A failed write or index append still
+// closes the file and completes the step's bookkeeping, so the other ranks
+// finish; POSIX has no recovery, so the rank's output is lost.
+//
+//repro:hotpath
+func (s *stepCont) Step(c *simkernel.ContProc) bool {
+	m, st := s.m, s.st
+	for {
+		switch s.pc {
+		case 0:
+			target := m.cfg.OSTs[s.rank%len(m.cfg.OSTs)]
+			s.create.BeginCreate(m.fs, s.name, pfs.Layout{OSTs: []int{target}})
+			s.pc = 1
+		case 1:
+			if !s.create.Step(c) {
+				return false
+			}
+			if s.err = s.create.Err(); s.err != nil {
+				return true
+			}
+			s.f = s.create.File()
+			st.setupWG.Done()
+			s.pc = 2
+		case 2:
+			if !st.setupWG.WaitCont(c) {
+				return false
+			}
+			if !st.t0Set {
+				st.t0 = c.Now()
+				st.t0Set = true
+			}
+			s.li.Entries, s.total = iomethod.BuildEntries(s.rank, 0, s.data)
+			s.write.BeginWrite(s.f, 0, s.total)
+			s.pc = 3
+		case 3:
+			if !s.write.Step(c) {
+				return false
+			}
+			if s.err = s.write.Err(); s.err != nil {
+				s.pc = 6
+				continue
+			}
+			s.li.File = s.name
+			s.li.Sort()
+			encLen, err := s.li.EncodedLen()
+			if err != nil {
+				s.err = err
+				return true
+			}
+			s.enc = int64(encLen)
+			s.write.BeginAppend(s.f, s.enc)
+			s.pc = 4
+		case 4:
+			if !s.write.Step(c) {
+				return false
+			}
+			s.pc = 6
+			if s.err = s.write.Err(); s.err == nil {
+				st.res.IndexBytes += float64(s.enc)
+				st.res.TotalBytes += float64(s.total)
+				st.locals[s.rank] = s.li
+				if !m.cfg.NoFlush {
+					s.flush.BeginFlush(s.f)
+					s.pc = 5
+				}
+			}
+		case 5:
+			if !s.flush.Step(c) {
+				return false
+			}
+			s.pc = 6
+		case 6:
+			s.closeOp.BeginClose(s.f)
+			s.pc = 7
+		default:
+			if !s.closeOp.Step(c) {
+				return false
+			}
+			el := (c.Now() - st.t0).Seconds()
+			st.res.WriterTimes[s.rank] = el
+			if s.err != nil {
+				st.res.WriteFailures++
+			}
+			if el > st.res.Elapsed {
+				st.res.Elapsed = el
+			}
+			st.returned++
+			if st.returned == m.w.Size() {
+				g := &bp.GlobalIndex{Step: int64(st.seq), Locals: st.locals}
+				g.Sort()
+				st.res.Global = g
+				delete(m.steps, s.stepName)
+			}
+			s.res = st.res
+			return true
+		}
+	}
+}
+
+// Result implements iomethod.StepCont.
+func (s *stepCont) Result() (*iomethod.StepResult, error) { return s.res, s.err }

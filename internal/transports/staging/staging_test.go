@@ -159,17 +159,41 @@ func TestOversizedBlockRejected(t *testing.T) {
 	}
 }
 
+// semUser acquires n bytes, records its turn, holds the bytes for hold
+// seconds and releases them.
+type semUser struct {
+	pc      int
+	sem     *byteSem
+	id      int
+	n, hold float64
+	order   *[]int
+}
+
+func (u *semUser) Step(c *simkernel.ContProc) bool {
+	switch u.pc {
+	case 0:
+		u.pc = 1
+		if !u.sem.Acquire(c, u.n) {
+			return false
+		}
+		fallthrough
+	case 1:
+		*u.order = append(*u.order, u.id)
+		u.pc = 2
+		c.SleepSeconds(u.hold)
+		return false
+	default:
+		u.sem.Release(u.n)
+		return true
+	}
+}
+
 func TestByteSemFIFO(t *testing.T) {
 	k := simkernel.New()
-	sem := newByteSem(k, 100)
+	sem := newByteSem(100)
 	var order []int
 	acquire := func(id int, n float64, hold float64) {
-		k.Spawn("a", func(p *simkernel.Proc) {
-			sem.Acquire(p, n)
-			order = append(order, id)
-			p.SleepSeconds(hold)
-			sem.Release(n)
-		})
+		k.SpawnCont("a", &semUser{sem: sem, id: id, n: n, hold: hold, order: &order})
 	}
 	acquire(1, 80, 1)
 	acquire(2, 80, 1) // must wait for 1
