@@ -126,15 +126,17 @@ func RunWorkers[T any](opt Options, keys []ReplicaKey, fn func(ReplicaKey, any) 
 	workers := opt.workers(n)
 
 	var next atomic.Int64 // index of the next undispatched replica
-	var done atomic.Int64 // completed replicas (for progress)
+	// done counts completed replicas; it is bumped under progressMu so the
+	// serialised Progress calls see it strictly increasing.
+	var done int
 	var progressMu sync.Mutex
 	report := func(i int) {
 		if opt.Progress == nil {
 			return
 		}
-		d := int(done.Add(1))
 		progressMu.Lock()
-		opt.Progress(d, n, keys[i])
+		done++
+		opt.Progress(done, n, keys[i])
 		progressMu.Unlock()
 	}
 
