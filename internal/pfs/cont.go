@@ -2,7 +2,6 @@ package pfs
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/simkernel"
 )
@@ -195,13 +194,9 @@ func (op *CreateOp) Step(c *simkernel.ContProc) bool {
 	if !op.mds.step(c) {
 		return false
 	}
-	f := &File{
-		fs:      op.fs,
-		Name:    op.name,
-		osts:    op.osts,
-		stripe:  op.stripe,
-		touched: make(map[int]struct{}),
-	}
+	f := op.fs.newFile()
+	f.Name, f.osts, f.stripe = op.name, op.osts, op.stripe
+	f.touched = &f.set
 	op.fs.files[op.name] = f
 	op.file = f
 	return true
@@ -235,7 +230,8 @@ func (op *OpenOp) BeginOpen(fs *FileSystem, name string) {
 }
 
 // Step drives the open. Failed lookups still cost the MDS; the handle copy
-// is taken after the metadata op completes.
+// is taken after the metadata op completes, and shares the found handle's
+// touched set.
 //
 //repro:hotpath
 func (op *OpenOp) Step(c *simkernel.ContProc) bool {
@@ -246,9 +242,9 @@ func (op *OpenOp) Step(c *simkernel.ContProc) bool {
 		op.err = noSuchFile(op.name)
 		return true
 	}
-	h := *op.found
-	h.closed = false
-	op.file = &h
+	found, h := op.found, op.fs.newFile()
+	h.Name, h.osts, h.stripe, h.size, h.touched = found.Name, found.osts, found.stripe, found.size, found.touched
+	op.file = h
 	return true
 }
 
@@ -315,7 +311,7 @@ func (op *WriteOp) Step(c *simkernel.ContProc) bool {
 	for op.i < len(op.chunks) {
 		if !op.started {
 			ch := op.chunks[op.i]
-			f.touched[ch.ost] = struct{}{}
+			f.touched.add(ch.ost)
 			op.w.BeginWrite(f.fs.OSTs[ch.ost], float64(ch.bytes))
 			op.started = true
 		}
@@ -341,8 +337,8 @@ func (op *WriteOp) Step(c *simkernel.ContProc) bool {
 // Err returns the write error, if any; valid after Step returned true.
 func (op *WriteOp) Err() error { return op.err }
 
-// FlushOp is a flush in flight (File.Flush): touched targets waited on
-// sequentially in sorted order.
+// FlushOp is a flush in flight (File.Flush): the targets touched when it
+// began, waited on sequentially in ascending order.
 type FlushOp struct {
 	f       *File
 	osts    []int
@@ -355,14 +351,7 @@ type FlushOp struct {
 // reuses the op's scratch.
 func (op *FlushOp) BeginFlush(f *File) {
 	op.f = f
-	if cap(op.osts) < len(f.touched) {
-		op.osts = make([]int, 0, len(f.touched))
-	}
-	op.osts = op.osts[:0]
-	for o := range f.touched { //repro:allow nodeterm keys are sorted just below; visit order cannot affect results
-		op.osts = append(op.osts, o)
-	}
-	sort.Ints(op.osts)
+	op.osts = append(op.osts[:0], *f.touched...)
 	op.i = 0
 	op.started = false
 }

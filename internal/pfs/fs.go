@@ -3,6 +3,7 @@ package pfs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/rngx"
@@ -25,16 +26,35 @@ type Layout struct {
 }
 
 // File is an open file handle. A File is not safe for use outside the
-// owning kernel's handoff discipline.
+// owning kernel's handoff discipline. Handles live in their file system's
+// arena: a *File is valid until the file system's next Reset, which hands
+// its storage to the next run's files.
 type File struct {
-	fs      *FileSystem
-	Name    string
-	osts    []int
-	stripe  int64
-	size    int64
-	touched map[int]struct{}
+	fs     *FileSystem
+	Name   string
+	osts   []int
+	stripe int64
+	size   int64
+	// touched is the set of targets written through the file, shared by
+	// the creating handle and every handle opened from it; it points at
+	// the creating handle's set.
+	touched *ostSet
 	closed  bool
+	set     ostSet // the set touched points at on a created handle
 }
+
+// ostSet is a file's touched-target set: OST indices in ascending order.
+type ostSet []int
+
+// add inserts OST o, keeping the set sorted; it reuses the set's capacity.
+func (s *ostSet) add(o int) {
+	if i, found := slices.BinarySearch(*s, o); !found {
+		*s = slices.Insert(*s, i, o)
+	}
+}
+
+// fileChunk is the number of Files in one arena chunk.
+const fileChunk = 256
 
 // FileSystem is a simulated parallel file system instance.
 type FileSystem struct {
@@ -46,6 +66,13 @@ type FileSystem struct {
 	rng     *rngx.Source
 	files   map[string]*File
 	nextOST int
+	// slab holds every File handed out since the last Reset, in fixed-size
+	// chunks so handles never move; nfile is the next free slot.
+	slab  [][]File //repro:reset-skip arena storage kept for reuse; Reset rewinds nfile and newFile zeroes each slot it hands out
+	nfile int
+	// oneOST is the identity table [0, 1, ..., n): oneOST[i:i+1] is the
+	// shared, immutable layout of every file striped over OST i alone.
+	oneOST []int
 	// jobs names the registered jobs for per-job traffic attribution
 	// (ids are index+1; 0 is the unattributed bucket); see jobacct.go.
 	jobs []string
@@ -68,6 +95,7 @@ func New(k *simkernel.Kernel, cfg Config) (*FileSystem, error) {
 		fs.OSTs[i] = newOST(k, &fs.Cfg, i)
 	}
 	fs.MDS = newMDS(k, &fs.Cfg, rng.Derive("mds"))
+	fs.growOneOST()
 	return fs, nil
 }
 
@@ -100,9 +128,35 @@ func (fs *FileSystem) Reset(cfg Config) error {
 	// then deriving the MDS stream consumes exactly one Int63.
 	fs.MDS.reset(&fs.Cfg, fs.rng.Int63())
 	clear(fs.files)
+	fs.nfile = 0
+	fs.growOneOST()
 	fs.nextOST = 0
 	fs.jobs = fs.jobs[:0]
 	return nil
+}
+
+// growOneOST extends the one-OST layout table to cover every target. A
+// grown table is a new array: layouts already handed out keep the old one.
+func (fs *FileSystem) growOneOST() {
+	if len(fs.OSTs) > len(fs.oneOST) {
+		fs.oneOST = make([]int, len(fs.OSTs))
+		for i := range fs.oneOST {
+			fs.oneOST[i] = i
+		}
+	}
+}
+
+// newFile hands out the arena's next File, zeroed apart from the slot's
+// touched-set capacity.
+func (fs *FileSystem) newFile() *File {
+	c, i := fs.nfile/fileChunk, fs.nfile%fileChunk
+	if c == len(fs.slab) {
+		fs.slab = append(fs.slab, make([]File, fileChunk))
+	}
+	fs.nfile++
+	f := &fs.slab[c][i]
+	*f = File{fs: fs, set: f.set[:0]}
+	return f
 }
 
 // MustNew is New for tests and examples where the config is known-good.
@@ -118,6 +172,8 @@ func MustNew(k *simkernel.Kernel, cfg Config) *FileSystem {
 func (fs *FileSystem) OST(i int) *OST { return fs.OSTs[i] }
 
 // resolveLayout turns a Layout into a concrete OST list and stripe size.
+// An explicit one-OST layout resolves to the shared oneOST entry; any other
+// list is the caller's own copy.
 func (fs *FileSystem) resolveLayout(l Layout) ([]int, int64, error) {
 	stripeSize := l.StripeSize
 	if stripeSize <= 0 {
@@ -128,13 +184,16 @@ func (fs *FileSystem) resolveLayout(l Layout) ([]int, int64, error) {
 			return nil, 0, fmt.Errorf("pfs: stripe count %d exceeds file system limit %d",
 				len(l.OSTs), fs.Cfg.MaxStripeCount)
 		}
-		osts := append([]int(nil), l.OSTs...)
-		for _, i := range osts {
+		for _, i := range l.OSTs {
 			if i < 0 || i >= len(fs.OSTs) {
 				return nil, 0, fmt.Errorf("pfs: OST index %d out of range [0,%d)", i, len(fs.OSTs))
 			}
 		}
-		return osts, stripeSize, nil
+		if len(l.OSTs) == 1 {
+			i := l.OSTs[0]
+			return fs.oneOST[i : i+1 : i+1], stripeSize, nil
+		}
+		return append([]int(nil), l.OSTs...), stripeSize, nil
 	}
 	count := l.StripeCount
 	if count <= 0 {

@@ -1,6 +1,7 @@
 package pfs
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/simkernel"
@@ -132,5 +133,97 @@ func TestFileSystemResetSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if got != 0 {
 		t.Fatalf("warm FileSystem.Reset allocates %v allocs/op; want 0", got)
+	}
+}
+
+// nsClient is a continuation client that creates, writes, flushes and
+// closes its files one after another, each on a single target.
+type nsClient struct {
+	pc, i   int
+	fs      *FileSystem
+	names   []string
+	create  CreateOp
+	write   WriteOp
+	flush   FlushOp
+	closeOp CloseOp
+}
+
+func (m *nsClient) Step(c *simkernel.ContProc) bool {
+	for {
+		switch m.pc {
+		case 0:
+			if m.i == len(m.names) {
+				return true
+			}
+			m.create.BeginCreate(m.fs, m.names[m.i], Layout{OSTs: []int{m.i % len(m.fs.OSTs)}})
+			m.pc = 1
+		case 1:
+			if !m.create.Step(c) {
+				return false
+			}
+			if err := m.create.Err(); err != nil {
+				panic(err)
+			}
+			m.write.BeginWrite(m.create.File(), 0, 300)
+			m.pc = 2
+		case 2:
+			if !m.write.Step(c) {
+				return false
+			}
+			m.flush.BeginFlush(m.create.File())
+			m.pc = 3
+		case 3:
+			if !m.flush.Step(c) {
+				return false
+			}
+			m.closeOp.BeginClose(m.create.File())
+			m.pc = 4
+		default:
+			if !m.closeOp.Step(c) {
+				return false
+			}
+			m.i++
+			m.pc = 0
+		}
+	}
+}
+
+// TestNamespaceSteadyStateZeroAlloc gates the namespace arena: on a reused
+// file system, a cycle of Reset followed by create/write/flush/close of
+// single-target files with pre-built names allocates nothing once warm —
+// handles come from the arena, layouts from the shared one-target table,
+// and touched sets and flush lists reuse their capacity.
+func TestNamespaceSteadyStateZeroAlloc(t *testing.T) {
+	const clients, files = 4, 96 // more files than one arena chunk
+	k := simkernel.New()
+	defer k.Shutdown()
+	cfg := handleConfig()
+	cfg.Seed = 77
+	fs := MustNew(k, cfg)
+	cs := make([]nsClient, clients)
+	for ci := range cs {
+		cs[ci].fs = fs
+		for i := 0; i < files; i++ {
+			cs[ci].names = append(cs[ci].names, fmt.Sprintf("c%d.f%d", ci, i))
+		}
+	}
+	cycle := func() {
+		k.Reset()
+		if err := fs.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		for ci := range cs {
+			cs[ci].pc, cs[ci].i = 0, 0
+			k.SpawnCont("ns", &cs[ci])
+		}
+		k.Run()
+	}
+	cycle()
+	cycle()
+	if fs.nfile != clients*files || !fs.Exists("c3.f95") {
+		t.Fatalf("cycle created %d files, want %d", fs.nfile, clients*files)
+	}
+	if got := testing.AllocsPerRun(20, cycle); got != 0 {
+		t.Fatalf("namespace cycle allocates %v allocs/op in steady state; want 0", got)
 	}
 }

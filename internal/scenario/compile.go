@@ -139,7 +139,7 @@ func (s *Scenario) Validate() error {
 		if pt.Samples <= 0 {
 			return fmt.Errorf("scenario %s: point %q has zero samples", s.seedLabel(), pt.Label)
 		}
-		if _, err := s.resolve(pt.Params); err != nil {
+		if _, err := s.bind(pt.Params); err != nil {
 			return fmt.Errorf("scenario %s: point %q: %w", s.seedLabel(), pt.Label, err)
 		}
 	}
@@ -193,15 +193,62 @@ type jobCfg struct {
 	start     float64
 	period    float64
 	phases    int
+	// names are the job's file and step names, formatted once per run
+	// (jobNames): per phase for app jobs, per rank for mlread, and per
+	// [rank][phase][file] for mdtest.
+	names []string
 }
 
-// resolve merges the spec's base fields with one point's parameter
+// resolve is one grid point's execution configuration: bind, then the job
+// mix's names. Run resolves every point once, after Validate, so no replica
+// formats a name; Validate binds without naming, which keeps a spec load
+// as cheap as the checks it makes.
+func (s *Scenario) resolve(p Params) (replicaCfg, error) {
+	c, err := s.bind(p)
+	if err != nil {
+		return c, err
+	}
+	for i := range c.jobs {
+		c.jobs[i].names = jobNames(c.jobs[i])
+	}
+	return c, nil
+}
+
+// jobNames formats a resolved job's names in the layout jobCfg.names
+// documents.
+func jobNames(jc jobCfg) []string {
+	var names []string
+	switch jc.kind {
+	case JobKindApp:
+		names = make([]string, 0, jc.phases)
+		for ph := 0; ph < jc.phases; ph++ {
+			names = append(names, fmt.Sprintf("%s.ph%03d.bp", jc.name, ph))
+		}
+	case JobKindMLRead:
+		names = make([]string, 0, jc.procs)
+		for rank := 0; rank < jc.procs; rank++ {
+			names = append(names, fmt.Sprintf("%s.shard.%05d", jc.name, rank))
+		}
+	case JobKindMDTest:
+		names = make([]string, 0, jc.procs*jc.phases*jc.files)
+		for rank := 0; rank < jc.procs; rank++ {
+			for ph := 0; ph < jc.phases; ph++ {
+				for fi := 0; fi < jc.files; fi++ {
+					names = append(names, fmt.Sprintf("%s.r%05d.ph%03d.f%04d", jc.name, rank, ph, fi))
+				}
+			}
+		}
+	}
+	return names
+}
+
+// bind merges the spec's base fields with one point's parameter
 // bindings. Axis names are conventional: "machine", "osts", "noise",
 // "kind", "writers", "ratio", "size" (MB), "bytes", "procs", "generator",
 // "method", "transport_osts", "condition", "with_interference",
 // "stagger" (ns), "failures" (arm the declared failure script),
 // "adapt" (false = the DisableAdaptation ablation).
-func (s *Scenario) resolve(p Params) (replicaCfg, error) {
+func (s *Scenario) bind(p Params) (replicaCfg, error) {
 	c := replicaCfg{
 		kind:      p.Str("kind", s.workloadKind()),
 		machine:   p.Str("machine", s.Machine),

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"fmt"
 	"time"
 
 	"repro/adios"
@@ -65,7 +64,7 @@ type jobAppCont struct {
 	start   float64
 	period  float64
 	io      *adios.IO
-	names   []string // per-phase step names, resolved at launch
+	names   []string // per-phase step names (jobCfg.names)
 	perRank func(rank int) iomethod.RankData
 	errp    *error
 	cc      adios.CloseCont
@@ -102,15 +101,6 @@ func (m *jobAppCont) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
 			m.pc = 0
 		}
 	}
-}
-
-// appStepNames resolves a job's per-phase step names off the hot path.
-func appStepNames(job string, phases int) []string {
-	names := make([]string, phases)
-	for ph := range names {
-		names[ph] = fmt.Sprintf("%s.ph%03d.bp", job, ph)
-	}
-	return names
 }
 
 // jobMLReadCont is the job-mix training-read body: create the pre-existing
@@ -187,7 +177,7 @@ type jobMDTestCont struct {
 	start      float64
 	period     float64
 	fs         *pfs.FileSystem
-	job        string
+	names      []string // this rank's [phase][file] names (jobCfg.names)
 	rank       int
 	numOSTs    int
 	bytes      int64
@@ -196,11 +186,6 @@ type jobMDTestCont struct {
 	create     pfs.CreateOp
 	write      pfs.WriteOp
 	closeOp    pfs.CloseOp
-}
-
-// mdtestFileName builds one burst file's name off the hot path.
-func mdtestFileName(job string, rank, ph, fi int) string {
-	return fmt.Sprintf("%s.r%05d.ph%03d.f%04d", job, rank, ph, fi)
 }
 
 //repro:hotpath
@@ -222,7 +207,7 @@ func (m *jobMDTestCont) StepRank(r *cluster.Rank, c *simkernel.ContProc) bool {
 				m.pc = 0
 				continue
 			}
-			m.create.BeginCreate(m.fs, mdtestFileName(m.job, m.rank, m.ph, m.fi),
+			m.create.BeginCreate(m.fs, m.names[m.ph*m.files+m.fi],
 				pfs.Layout{OSTs: []int{(m.rank + m.fi) % m.numOSTs}})
 			m.pc = 2
 		case 2:

@@ -408,11 +408,10 @@ func (s *Scenario) execJobMix(cfg replicaCfg, seed int64, pool *cluster.Pool, tc
 			if err != nil {
 				return Sample{}, err
 			}
-			names := appStepNames(jc.name, jc.phases)
 			mk = func(i int) cluster.RankCont {
 				return &jobAppCont{
 					phases: jc.phases, start: jc.start, period: jc.period,
-					io: io, names: names, perRank: jc.perRank, errp: &run.err,
+					io: io, names: jc.names, perRank: jc.perRank, errp: &run.err,
 				}
 			}
 		case JobKindMLRead:
@@ -421,15 +420,16 @@ func (s *Scenario) execJobMix(cfg replicaCfg, seed int64, pool *cluster.Pool, tc
 				// create is the job's only metadata cost.
 				return &jobMLReadCont{
 					phases: jc.phases, start: jc.start, period: jc.period,
-					fs: fs, name: fmt.Sprintf("%s.shard.%05d", jc.name, i),
+					fs: fs, name: jc.names[i],
 					ost: i % numOSTs, bytes: int64(jc.bytes), errp: &run.err,
 				}
 			}
 		case JobKindMDTest:
+			burst := jc.phases * jc.files // one rank's names
 			mk = func(i int) cluster.RankCont {
 				return &jobMDTestCont{
 					phases: jc.phases, files: jc.files, start: jc.start, period: jc.period,
-					fs: fs, job: jc.name, rank: i, numOSTs: numOSTs,
+					fs: fs, names: jc.names[i*burst : (i+1)*burst], rank: i, numOSTs: numOSTs,
 					bytes: int64(jc.bytes), errp: &run.err,
 				}
 			}
