@@ -27,6 +27,7 @@ func (io *IO) ContCapable() bool { return true }
 type CloseCont struct {
 	sc  iomethod.StepCont
 	res StepResult
+	err error
 }
 
 // BeginCloseCont arms cc to perform this file's collective output. Like
@@ -39,21 +40,31 @@ func (f *File) BeginCloseCont(cc *CloseCont) {
 	*cc = CloseCont{sc: f.io.method.BeginStepCont(f.rank, f.name, f.data)}
 }
 
-// Step drives the collective close; see simkernel.Cont.
+// Step drives the collective close; see simkernel.Cont. When the step
+// finishes it captures the result: the transport may recycle its step
+// machine for a later step once every rank has returned, so the result is
+// read here, not from the machine when Result is called.
 //
 //repro:hotpath
-func (cc *CloseCont) Step(c *simkernel.ContProc) bool { return cc.sc.Step(c) }
+func (cc *CloseCont) Step(c *simkernel.ContProc) bool {
+	if !cc.sc.Step(c) {
+		return false
+	}
+	res, err := cc.sc.Result()
+	cc.sc = nil
+	cc.res = StepResult{StepResult: res}
+	cc.err = err
+	return true
+}
 
 // Result returns what the equivalent Close call would have returned; valid
-// once Step has returned true. The returned pointer aliases the CloseCont
-// (no per-rank allocation) and holds this step's result until the next
-// BeginCloseCont re-arms cc, so a caller keeping a result across steps
-// copies the StepResult value.
+// once Step has returned true, and until the next BeginCloseCont re-arms
+// cc, however many steps run on the world in between. The returned
+// pointer aliases the CloseCont (no per-rank allocation), so a caller
+// keeping a result across a re-arm copies the StepResult value.
 func (cc *CloseCont) Result() (*StepResult, error) {
-	res, err := cc.sc.Result()
-	if err != nil {
-		return nil, err
+	if cc.err != nil {
+		return nil, cc.err
 	}
-	cc.res = StepResult{StepResult: res}
 	return &cc.res, nil
 }

@@ -92,10 +92,11 @@ type scMsg struct {
 	index  bp.LocalIndex
 }
 
-// msgPool recycles scMsg envelopes within one Adaptive instance. The
-// kernel's handoff discipline makes it single-threaded; New registers a
-// Kernel.OnReset hook so the free list is swept when the world is reset,
-// dropping any index slices the envelopes may still reference.
+// msgPool recycles scMsg envelopes. The kernel's handoff discipline makes
+// it single-threaded. Each step's state carries one, so its envelopes are
+// recycled with the rest of the step through the world's step arena; the
+// free list holds only zeroed envelopes (put clears them), so a parked
+// pool references no index slice.
 type msgPool struct {
 	free []*scMsg
 }
@@ -122,14 +123,6 @@ func (pl *msgPool) get(kind scKind) *scMsg {
 func (pl *msgPool) put(m *scMsg) {
 	*m = scMsg{}
 	pl.free = append(pl.free, m)
-}
-
-// sweep empties the free list. Registered with Kernel.OnReset by New.
-func (pl *msgPool) sweep() {
-	for i := range pl.free {
-		pl.free[i] = nil
-	}
-	pl.free = pl.free[:0]
 }
 
 // Config tunes the adaptive method.
@@ -177,7 +170,6 @@ type Adaptive struct {
 
 	steps     map[string]*stepState
 	stepCount int
-	pool      msgPool
 }
 
 // New builds an Adaptive method. The zero Config selects all storage
@@ -201,11 +193,7 @@ func New(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Adaptive, error) {
 		return nil, fmt.Errorf("core: negative WritersPerTarget")
 	}
 	cfg.WriteGlobalIndex = true
-	a := &Adaptive{w: w, fs: fs, cfg: cfg, steps: make(map[string]*stepState)}
-	// Sweep the envelope free list when the kernel (and so the world) is
-	// reset between replicas; a reused world's next Adaptive re-registers.
-	w.Kernel().OnReset(a.pool.sweep)
-	return a, nil
+	return &Adaptive{w: w, fs: fs, cfg: cfg, steps: make(map[string]*stepState)}, nil
 }
 
 // NewNoGlobalIndex is New with the global indexing phase disabled (the
@@ -224,35 +212,68 @@ func NewNoGlobalIndex(w *mpisim.World, fs *pfs.FileSystem, cfg Config) (*Adaptiv
 func (a *Adaptive) Name() string { return "ADAPTIVE" }
 
 // stepState is the shared bookkeeping of one collective output step.
+//
+// Everything but the result and the index slab is step-private: when the
+// step's last rank returns, the state is parked in the world's step arena
+// (mpisim.World.Park), and the next step of any Adaptive on that world
+// whose group plan has the same shape takes it back — rank machines, SC
+// and C pumps with their scratch, per-group and per-rank tables, wait
+// groups, envelopes and cached names — instead of rebuilding it. The
+// StepResult (with WriterTimes) and the index slab its Global points into
+// are allocated fresh for every step, because results outlive their step.
 type stepState struct {
 	name      string
 	seq       int
 	res       *iomethod.StepResult
+	gsize     int     // group size: with the world's rank count, the plan's shape
 	groups    [][]int // writer ranks per group
 	groupOf   []int   // rank -> group
 	files     []*pfs.File
-	fileNames []string
+	fileNames []string // per group, formatted for namesFor
+	gidxName  string   // global-index file name, formatted for namesFor
+	namesFor  string   // the step name fileNames and gidxName were formatted for
+	scNames   []string // per group, the SC pump's process name
 	dataOf    []iomethod.RankData
 	machines  []stepCont // per rank, one backing array for the whole step
 	scs       []scCont   // per group, the sub-coordinator pump machines
 	cc        cCont      // the coordinator pump machine
-	gidxName  string     // precomputed global-index file name
+	pool      msgPool
 
-	arrived   int
+	// The step's BP index. sizeIndex allocates entries and dims at the
+	// setup barrier, exactly sized for every rank's records; each SC
+	// appends its local index there in rank order at its epilogue, so the
+	// slab never regrows and len(entries) is the shared cursor. indexed
+	// marks each writer whose index body reached an SC, exactly once.
+	entries  []bp.VarEntry
+	dims     []uint64
+	nEntries int
+	indexed  []bool
+
 	setupDone *simkernel.WaitGroup
-	start     *simkernel.Signal
+	start     *simkernel.WaitGroup   // a latch: reaches zero when the timed phase starts
+	scDone    []*simkernel.WaitGroup // per group: the SC pump finished
+	cDone     *simkernel.WaitGroup   // the C pump finished
 	t0        simkernel.Time
 	t0Set     bool
 	returned  int
 }
 
-// planGroups splits W ranks into contiguous groups, one per storage target,
-// shrinking the group count when there are fewer writers than targets.
-func planGroups(W, targets int) [][]int {
+// arenaKey names the adaptive method's slot in a world's step arena.
+type arenaKey struct{}
+
+// groupSize is the writer-group size planGroups uses for W ranks over the
+// given number of storage targets.
+func groupSize(W, targets int) int {
 	if targets > W {
 		targets = W
 	}
-	gsize := (W + targets - 1) / targets
+	return (W + targets - 1) / targets
+}
+
+// planGroups splits W ranks into contiguous groups, one per storage target,
+// shrinking the group count when there are fewer writers than targets.
+func planGroups(W, targets int) [][]int {
+	gsize := groupSize(W, targets)
 	numGroups := (W + gsize - 1) / gsize
 	groups := make([][]int, 0, numGroups)
 	for g := 0; g < numGroups; g++ {
@@ -270,41 +291,118 @@ func planGroups(W, targets int) [][]int {
 	return groups
 }
 
-// getStep returns (creating on first arrival) the shared state for a step.
-func (a *Adaptive) getStep(stepName string) *stepState {
-	st, ok := a.steps[stepName]
-	if !ok {
-		W := a.w.Size()
-		groups := planGroups(W, len(a.cfg.OSTs))
-		st = &stepState{
-			name:      stepName,
-			seq:       a.stepCount,
-			groups:    groups,
-			groupOf:   make([]int, W),
-			files:     make([]*pfs.File, len(groups)),
-			fileNames: make([]string, len(groups)),
-			dataOf:    make([]iomethod.RankData, W),
-			machines:  make([]stepCont, W),
-			scs:       make([]scCont, len(groups)),
-			gidxName:  stepName + ".gidx.bp",
-			setupDone: simkernel.NewWaitGroup(a.w.Kernel()),
-			start:     simkernel.NewSignal(a.w.Kernel()),
-			res: &iomethod.StepResult{
-				WriterTimes: make([]float64, W),
-				Files:       len(groups),
-			},
+// newStepState builds the step-private state for this world and group plan.
+func (a *Adaptive) newStepState() *stepState {
+	W := a.w.Size()
+	k := a.w.Kernel()
+	groups := planGroups(W, len(a.cfg.OSTs))
+	st := &stepState{
+		gsize:     len(groups[0]),
+		groups:    groups,
+		groupOf:   make([]int, W),
+		files:     make([]*pfs.File, len(groups)),
+		fileNames: make([]string, len(groups)),
+		scNames:   make([]string, len(groups)),
+		dataOf:    make([]iomethod.RankData, W),
+		machines:  make([]stepCont, W),
+		scs:       make([]scCont, len(groups)),
+		indexed:   make([]bool, W),
+		setupDone: simkernel.NewWaitGroup(k),
+		start:     simkernel.NewWaitGroup(k),
+		scDone:    make([]*simkernel.WaitGroup, len(groups)),
+		cDone:     simkernel.NewWaitGroup(k),
+	}
+	for g, members := range groups {
+		for _, r := range members {
+			st.groupOf[r] = g
 		}
-		a.stepCount++
-		for g, members := range groups {
-			for _, r := range members {
-				st.groupOf[r] = g
-			}
-			st.fileNames[g] = fmt.Sprintf("%s.g%04d.bp", stepName, g)
-		}
-		st.setupDone.Add(W)
-		a.steps[stepName] = st
+		st.scNames[g] = fmt.Sprintf("SC[g%d]", g)
+		st.scDone[g] = simkernel.NewWaitGroup(k)
 	}
 	return st
+}
+
+// getStep returns (arming on first arrival) the shared state for a step:
+// the world's parked state when its shape matches, otherwise a new one.
+func (a *Adaptive) getStep(stepName string) *stepState {
+	if st, ok := a.steps[stepName]; ok {
+		return st
+	}
+	st, _ := a.w.Unpark(arenaKey{}).(*stepState)
+	if st == nil || st.gsize != groupSize(a.w.Size(), len(a.cfg.OSTs)) {
+		st = a.newStepState()
+	}
+	st.arm(stepName, a.stepCount)
+	a.stepCount++
+	a.steps[stepName] = st
+	return st
+}
+
+// arm readies new or recycled step state for the step named stepName.
+// Recycled state was parked by its last rank, so its wait groups are at
+// zero and its machines have all finished.
+func (st *stepState) arm(stepName string, seq int) {
+	W := len(st.groupOf)
+	st.name = stepName
+	st.seq = seq
+	st.res = &iomethod.StepResult{
+		WriterTimes: make([]float64, W),
+		Files:       len(st.groups),
+	}
+	if st.namesFor != stepName || st.gidxName == "" {
+		for g := range st.fileNames {
+			st.fileNames[g] = fmt.Sprintf("%s.g%04d.bp", stepName, g)
+		}
+		st.gidxName = stepName + ".gidx.bp"
+		st.namesFor = stepName
+	}
+	clear(st.files)
+	clear(st.dataOf)
+	clear(st.indexed)
+	st.entries, st.dims, st.nEntries = nil, nil, 0
+	st.t0, st.t0Set, st.returned = 0, false, 0
+	st.setupDone.Add(W)
+	st.start.Add(1)
+}
+
+// sizeIndex allocates the step's index slab at the setup barrier, when
+// every rank's data is known: one entries and one dims allocation holding
+// exactly the records every writer contributes.
+func (st *stepState) sizeIndex() {
+	nE, nD := 0, 0
+	for i := range st.dataOf {
+		nE += len(st.dataOf[i].Vars)
+		for _, v := range st.dataOf[i].Vars {
+			nD += len(v.Dims)
+		}
+	}
+	st.entries = make([]bp.VarEntry, 0, nE)
+	st.dims = make([]uint64, 0, nD)
+	st.nEntries = nE
+}
+
+// checkIndexed is the exactly-once index invariant, checked at C's gather
+// on every step: every writer's index body reached an SC (a second one
+// already panicked there), and the SCs' local indices fill the step's slab
+// exactly.
+func (st *stepState) checkIndexed() {
+	for r, ok := range st.indexed {
+		if !ok {
+			panic(fmt.Sprintf("core: step %q: writer %d was never indexed", st.name, r))
+		}
+	}
+	if len(st.entries) != st.nEntries || cap(st.entries) != st.nEntries {
+		panic(fmt.Sprintf("core: step %q: index slab holds %d of %d entries (capacity %d)",
+			st.name, len(st.entries), st.nEntries, cap(st.entries)))
+	}
+}
+
+// finish retires a step whose last rank has returned: it leaves the map
+// and its state is parked in the world's step arena for the next step
+// (arm gives that step its own result and index slab).
+func (a *Adaptive) finish(st *stepState) {
+	delete(a.steps, st.name)
+	a.w.Park(arenaKey{}, st)
 }
 
 // WriteStep implements iomethod.Method. Every rank must call it with the
@@ -320,10 +418,10 @@ func (a *Adaptive) WriteStep(r *mpisim.Rank, stepName string, data iomethod.Rank
 // spawnSC launches the sub-coordinator loop (Algorithm 2) as a helper
 // continuation process (scCont, pump.go) on the SC rank, whichever engine
 // carries the rank bodies.
-func (a *Adaptive) spawnSC(r *mpisim.Rank, st *stepState, g int, done *simkernel.WaitGroup) {
+func (a *Adaptive) spawnSC(r *mpisim.Rank, st *stepState, g int) {
 	s := &st.scs[g]
-	s.arm(a, r, st, g, done)
-	a.w.Kernel().SpawnCont(fmt.Sprintf("SC[g%d]", g), s)
+	s.arm(a, r, st, g)
+	a.w.Kernel().SpawnCont(st.scNames[g], s)
 }
 
 // groupPhase is C's view of an SC's state (Algorithm 3).
@@ -337,9 +435,9 @@ const (
 
 // spawnC launches the coordinator loop (Algorithm 3) as a helper
 // continuation process (cCont, pump.go) on rank 0, like spawnSC.
-func (a *Adaptive) spawnC(r *mpisim.Rank, st *stepState, done *simkernel.WaitGroup) {
+func (a *Adaptive) spawnC(r *mpisim.Rank, st *stepState) {
 	s := &st.cc
-	s.arm(a, r, st, done)
+	s.arm(a, r, st)
 	a.w.Kernel().SpawnCont("C", s)
 }
 

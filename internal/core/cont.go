@@ -32,9 +32,6 @@ type stepCont struct {
 	target int
 	offset int64
 
-	scDone *simkernel.WaitGroup
-	cDone  *simkernel.WaitGroup
-
 	create pfs.CreateOp
 	write  pfs.WriteOp
 	recv   mpisim.RecvOp
@@ -44,7 +41,8 @@ type stepCont struct {
 }
 
 // BeginStepCont implements iomethod.Method. It only arms the machine;
-// all simulation work happens in Step.
+// all simulation work happens in Step. A recycled machine keeps its write
+// op's chunk scratch.
 func (a *Adaptive) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.RankData) iomethod.StepCont {
 	st := a.getStep(stepName)
 	rank := r.Rank()
@@ -53,7 +51,8 @@ func (a *Adaptive) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.
 	*s = stepCont{
 		a: a, st: st, r: r, rank: rank, g: g,
 		isSC: st.groups[g][0] == rank, isC: rank == 0,
-		data: data,
+		data:  data,
+		write: s.write,
 	}
 	return s
 }
@@ -112,18 +111,17 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				st.t0 = c.Now()
 				st.t0Set = true
 				st.res.MDSOpenQueuePeak = a.fs.MDS.Stats.MaxQueue
+				st.sizeIndex()
+				st.start.Done()
 			}
-			st.start.Broadcast()
 
 			if s.isSC {
-				s.scDone = simkernel.NewWaitGroup(a.w.Kernel())
-				s.scDone.Add(1)
-				a.spawnSC(s.r, st, s.g, s.scDone)
+				st.scDone[s.g].Add(1)
+				a.spawnSC(s.r, st, s.g)
 			}
 			if s.isC {
-				s.cDone = simkernel.NewWaitGroup(a.w.Kernel())
-				s.cDone.Add(1)
-				a.spawnC(s.r, st, s.cDone)
+				st.cDone.Add(1)
+				a.spawnC(s.r, st)
 			}
 
 			// Writer role (Algorithm 1), continuation form.
@@ -136,7 +134,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			s.total = s.data.TotalBytes()
 			s.target = env.target
 			s.offset = env.offset
-			a.pool.put(env)
+			st.pool.put(env)
 			s.write.BeginWrite(st.files[s.target], s.offset, s.total)
 			s.pc = 6
 		case 6:
@@ -147,7 +145,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				// Target down: report to the triggering SC (which requeues
 				// this writer) and go back to waiting for an assignment.
 				st.res.WriteFailures++
-				fl := a.pool.get(kindWriteFailed)
+				fl := st.pool.get(kindWriteFailed)
 				fl.writer, fl.source, fl.target = s.rank, s.g, s.target
 				s.r.Send(st.groups[s.g][0], tagToSC, fl)
 				s.pc = 5
@@ -163,40 +161,40 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			}
 			triggeringSC := st.groups[s.g][0]
 			targetSC := st.groups[s.target][0]
-			done := a.pool.get(kindWriteComplete)
+			done := st.pool.get(kindWriteComplete)
 			done.writer, done.source, done.target, done.bytes = s.rank, s.g, s.target, s.total
 			s.r.Send(triggeringSC, tagToSC, done)
 			if targetSC != triggeringSC {
 				// Each in-flight message owns its envelope (the receiver
 				// recycles it), so the fan-out is two envelopes, freed
 				// independently by their receivers.
-				done2 := a.pool.get(kindWriteComplete)
+				done2 := st.pool.get(kindWriteComplete)
 				done2.writer, done2.source, done2.target, done2.bytes = s.rank, s.g, s.target, s.total
 				s.r.Send(targetSC, tagToSC, done2)
 			}
 			// The index travels separately and after the data, so its
 			// transfer overlaps the next writer's data (Section III-B.1).
-			ib := a.pool.get(kindIndexBody)
+			ib := st.pool.get(kindIndexBody)
 			ib.writer, ib.offset = s.rank, s.offset
 			s.r.Send(targetSC, tagToSC, ib)
 			s.pc = 7
 		case 7:
-			if s.isSC && !s.scDone.WaitCont(c) {
+			if s.isSC && !st.scDone[s.g].WaitCont(c) {
 				return false
 			}
 			s.pc = 8
 		default:
-			if s.isC && !s.cDone.WaitCont(c) {
+			if s.isC && !st.cDone.WaitCont(c) {
 				return false
 			}
 			if el := (c.Now() - st.t0).Seconds(); el > st.res.Elapsed {
 				st.res.Elapsed = el
 			}
+			s.res = st.res
 			st.returned++
 			if st.returned == a.w.Size() {
-				delete(a.steps, st.name)
+				a.finish(st)
 			}
-			s.res = st.res
 			return true
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bp"
 	"repro/internal/iomethod"
@@ -32,11 +33,10 @@ import (
 
 // scCont is the sub-coordinator loop (Algorithm 2) for one writer group.
 type scCont struct {
-	a    *Adaptive
-	st   *stepState
-	r    *mpisim.Rank
-	g    int
-	done *simkernel.WaitGroup
+	a  *Adaptive
+	st *stepState
+	r  *mpisim.Rank
+	g  int
 
 	pc             int
 	waiting        simkernel.Ring[int] // writers not yet signalled
@@ -52,12 +52,13 @@ type scCont struct {
 	// writes complete, dead ones fail). Waiting writers remain available
 	// for adaptive redirection to healthy targets meanwhile.
 	ownDead bool
-	retry   func()
+	retry   func() // sends the retry probe; built once per machine
 	li      bp.LocalIndex
 	encLen  int
 
-	indexEntries []bp.VarEntry
-	indexDims    []uint64
+	// bodies records each index body received, as (writer, offset): the
+	// epilogue rebuilds the local index from them in rank order.
+	bodies []indexBody
 
 	recv  mpisim.RecvOp
 	write pfs.WriteOp
@@ -65,33 +66,41 @@ type scCont struct {
 	close pfs.CloseOp
 }
 
+// indexBody is one writer's index body as an SC received it.
+type indexBody struct {
+	writer int
+	offset int64
+}
+
+// byWriter orders index bodies by writer rank.
+func byWriter(a, b indexBody) int { return a.writer - b.writer }
+
 // coordRank hosts the coordinator: the adaptive method pins C to rank 0.
 const coordRank = 0
 
-// arm readies the machine for one step. It runs after the step's setup
-// barrier, so st.dataOf is complete and the index accumulation can be
-// pre-sized here (the cold path) instead of in Step.
-func (s *scCont) arm(a *Adaptive, r *mpisim.Rank, st *stepState, g int, done *simkernel.WaitGroup) {
-	*s = scCont{a: a, st: st, r: r, g: g, done: done}
+// arm readies the machine for one step. A recycled machine keeps its
+// scratch: the waiting ring, the index-body list, the retry probe and the
+// write and flush ops.
+func (s *scCont) arm(a *Adaptive, r *mpisim.Rank, st *stepState, g int) {
+	for s.waiting.Len() > 0 {
+		s.waiting.Pop()
+	}
+	*s = scCont{
+		a: a, st: st, r: r, g: g,
+		waiting: s.waiting,
+		retry:   s.retry,
+		bodies:  s.bodies[:0],
+		write:   s.write,
+		flush:   s.flush,
+	}
 	for _, w := range st.groups[g] {
 		s.waiting.Push(w)
 	}
-	// Pre-size for the typical case — every member writes to its own
-	// group's file. Adaptive redirection shifts writers between files, so
-	// this is a capacity hint, not a bound; append growth covers the
-	// imbalance.
-	nE, nD := 0, 0
-	for _, w := range st.groups[g] {
-		nE += len(st.dataOf[w].Vars)
-		for _, v := range st.dataOf[w].Vars {
-			nD += len(v.Dims)
+	if s.retry == nil {
+		s.retry = func() { //repro:allow hotpath retry probe built once per machine, which the step arena keeps
+			env := s.st.pool.get(kindRetryOwn)
+			s.r.SendFrom(s.r.Rank(), s.r.Rank(), tagToSC, env)
 		}
-	}
-	s.indexEntries = make([]bp.VarEntry, 0, nE)
-	s.indexDims = make([]uint64, 0, nD)
-	s.retry = func() { //repro:allow hotpath retry probe built once per step at arm time
-		env := a.pool.get(kindRetryOwn)
-		r.SendFrom(r.Rank(), r.Rank(), tagToSC, env)
 	}
 }
 
@@ -103,7 +112,7 @@ func (s *scCont) signalNext() {
 	}
 	for s.activeOnMyFile < s.a.cfg.WritersPerTarget && s.waiting.Len() > 0 {
 		wtr := s.waiting.Pop()
-		env := s.a.pool.get(kindWriteGo)
+		env := s.st.pool.get(kindWriteGo)
 		env.target, env.offset = s.g, s.myOffset
 		s.r.SendFrom(s.r.Rank(), wtr, tagToWriter, env)
 		s.myOffset += s.st.dataOf[wtr].TotalBytes()
@@ -119,7 +128,7 @@ func (s *scCont) handle(env *scMsg) {
 		if env.source == g && env.target != g {
 			// One of mine completed an adaptive write elsewhere:
 			// forward to C (Algorithm 2 line 6).
-			ad := a.pool.get(kindAdaptiveDone)
+			ad := st.pool.get(kindAdaptiveDone)
 			ad.source, ad.target, ad.bytes = g, env.target, env.bytes
 			r.SendFrom(r.Rank(), coordRank, tagToC, ad)
 			s.completedOwn++
@@ -135,13 +144,16 @@ func (s *scCont) handle(env *scMsg) {
 		}
 		if s.completedOwn == len(st.groups[g]) && !s.scCompleteSent {
 			s.scCompleteSent = true
-			sc := a.pool.get(kindSCComplete)
+			sc := st.pool.get(kindSCComplete)
 			sc.group, sc.offset = g, s.myOffset
 			r.SendFrom(r.Rank(), coordRank, tagToC, sc)
 		}
 	case kindIndexBody:
-		s.indexEntries, s.indexDims = iomethod.AppendEntries(
-			s.indexEntries, s.indexDims, env.writer, env.offset, st.dataOf[env.writer])
+		if st.indexed[env.writer] {
+			panic(fmt.Sprintf("core: SC[g%d] got a second index body for writer %d", g, env.writer))
+		}
+		st.indexed[env.writer] = true
+		s.bodies = append(s.bodies, indexBody{writer: env.writer, offset: env.offset})
 		s.missingIndices--
 	case kindWriteFailed:
 		// The writer's assigned target died past its timeout:
@@ -159,7 +171,7 @@ func (s *scCont) handle(env *scMsg) {
 			// A failed adaptive redirect: release C's request slot
 			// and let it blacklist the target (Algorithm 3 keeps the
 			// offset unchanged — nothing landed).
-			af := a.pool.get(kindAdaptiveFailed)
+			af := st.pool.get(kindAdaptiveFailed)
 			af.source, af.target = g, env.target
 			r.SendFrom(r.Rank(), coordRank, tagToC, af)
 		}
@@ -167,12 +179,12 @@ func (s *scCont) handle(env *scMsg) {
 		s.ownDead = false
 	case kindAdaptiveStart:
 		if s.waiting.Len() == 0 {
-			wb := a.pool.get(kindWritersBusy)
+			wb := st.pool.get(kindWritersBusy)
 			wb.group, wb.target = g, env.target
 			r.SendFrom(r.Rank(), coordRank, tagToC, wb)
 		} else {
 			wtr := s.waiting.Pop()
-			wg := a.pool.get(kindWriteGo)
+			wg := st.pool.get(kindWriteGo)
 			wg.target, wg.offset = env.target, env.offset
 			r.SendFrom(r.Rank(), wtr, tagToWriter, wg)
 		}
@@ -187,7 +199,7 @@ func (s *scCont) handle(env *scMsg) {
 //
 //repro:hotpath
 func (s *scCont) Step(c *simkernel.ContProc) bool {
-	a, st := s.a, s.st
+	st := s.st
 	for {
 		switch s.pc {
 		case 0:
@@ -210,12 +222,19 @@ func (s *scCont) Step(c *simkernel.ContProc) bool {
 		case 2:
 			env := s.recv.Msg().Data.(*scMsg)
 			s.handle(env)
-			a.pool.put(env)
+			st.pool.put(env)
 			s.pc = 1
 		case 3:
-			// Algorithm 2 epilogue: sort and merge the index pieces, write
-			// the local index, send it to C.
-			s.li = bp.LocalIndex{File: st.fileNames[s.g], Entries: s.indexEntries}
+			// Algorithm 2 epilogue: merge the index pieces in rank order
+			// into the step's slab (so Sort takes its bucket path), sort,
+			// write the local index, send it to C.
+			slices.SortFunc(s.bodies, byWriter)
+			lo := len(st.entries)
+			for _, b := range s.bodies {
+				st.entries, st.dims = iomethod.AppendEntries(st.entries, st.dims, b.writer, b.offset, st.dataOf[b.writer])
+			}
+			hi := len(st.entries)
+			s.li = bp.LocalIndex{File: st.fileNames[s.g], Entries: st.entries[lo:hi:hi]}
 			s.li.Sort()
 			n, err := s.li.EncodedLen()
 			if err != nil {
@@ -251,11 +270,11 @@ func (s *scCont) Step(c *simkernel.ContProc) bool {
 			if !s.close.Step(c) {
 				return false
 			}
-			env := a.pool.get(kindLocalIndex)
+			env := st.pool.get(kindLocalIndex)
 			env.group = s.g
 			env.index = s.li
 			s.r.SendFrom(s.r.Rank(), coordRank, tagToC, env)
-			s.done.Done()
+			st.scDone[s.g].Done()
 			return true
 		}
 	}
@@ -263,10 +282,9 @@ func (s *scCont) Step(c *simkernel.ContProc) bool {
 
 // cCont is the coordinator loop (Algorithm 3).
 type cCont struct {
-	a    *Adaptive
-	st   *stepState
-	r    *mpisim.Rank
-	done *simkernel.WaitGroup
+	a  *Adaptive
+	st *stepState
+	r  *mpisim.Rank
 
 	pc          int
 	phase       []groupPhase
@@ -291,17 +309,33 @@ type cCont struct {
 	close  pfs.CloseOp
 }
 
-// arm readies the coordinator machine for one step.
-func (s *cCont) arm(a *Adaptive, r *mpisim.Rank, st *stepState, done *simkernel.WaitGroup) {
+// arm readies the coordinator machine for one step. A recycled machine
+// keeps its per-group tables (zeroed), its dispatch scratch and its write
+// and flush ops.
+func (s *cCont) arm(a *Adaptive, r *mpisim.Rank, st *stepState) {
 	numGroups := len(st.groups)
 	*s = cCont{
-		a: a, st: st, r: r, done: done,
-		phase:      make([]groupPhase, numGroups),
-		offsets:    make([]int64, numGroups),
-		targetFree: make([]int, numGroups),
-		deadTarget: make([]bool, numGroups),
-		speed:      make([]float64, numGroups),
+		a: a, st: st, r: r,
+		phase:      zeroed(s.phase, numGroups),
+		offsets:    zeroed(s.offsets, numGroups),
+		targetFree: zeroed(s.targetFree, numGroups),
+		deadTarget: zeroed(s.deadTarget, numGroups),
+		speed:      zeroed(s.speed, numGroups),
+		idle:       s.idle[:0],
+		write:      s.write,
+		flush:      s.flush,
 	}
+}
+
+// zeroed returns xs resized to n zero values, reusing its backing array
+// when it is large enough.
+func zeroed[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
+	}
+	xs = xs[:n]
+	clear(xs)
+	return xs
 }
 
 // nextWritingSC returns the next group in writing phase, rotating, or -1.
@@ -342,7 +376,7 @@ func (s *cCont) dispatch() {
 			}
 			s.targetFree[t]--
 			s.outstanding++
-			env := s.a.pool.get(kindAdaptiveStart)
+			env := s.st.pool.get(kindAdaptiveStart)
 			env.target, env.offset = t, s.offsets[t]
 			s.r.SendFrom(coordRank, s.st.groups[sc][0], tagToSC, env)
 			// The offset advances only at completion; one request
@@ -423,15 +457,15 @@ func (s *cCont) Step(c *simkernel.ContProc) bool {
 		case 2:
 			env := s.recv.Msg().Data.(*scMsg)
 			s.handle(env)
-			a.pool.put(env)
+			st.pool.put(env)
 			s.pc = 1
 		case 3:
 			// Release the sub-coordinators to write their local indices.
 			for g := 0; g < numGroups; g++ {
-				env := a.pool.get(kindOverallComplete)
+				env := st.pool.get(kindOverallComplete)
 				s.r.SendFrom(coordRank, st.groups[g][0], tagToSC, env)
 			}
-			s.global = &bp.GlobalIndex{Step: int64(st.seq)}
+			s.global = &bp.GlobalIndex{Step: int64(st.seq), Locals: make([]bp.LocalIndex, 0, numGroups)}
 			s.pc = 4
 		case 4:
 			// Gather index pieces, merge into the global index, write it.
@@ -442,10 +476,11 @@ func (s *cCont) Step(c *simkernel.ContProc) bool {
 				}
 				continue
 			}
+			st.checkIndexed()
 			s.global.Sort()
 			st.res.Global = s.global
 			if !a.cfg.WriteGlobalIndex {
-				s.done.Done()
+				st.cDone.Done()
 				return true
 			}
 			n, err := s.global.EncodedLen()
@@ -461,7 +496,7 @@ func (s *cCont) Step(c *simkernel.ContProc) bool {
 				panic(fmt.Sprintf("core: C expected local index, got kind %d", env.kind))
 			}
 			s.global.Locals = append(s.global.Locals, env.index)
-			a.pool.put(env)
+			st.pool.put(env)
 			s.gathered++
 			s.pc = 4
 		case 6:
@@ -499,7 +534,7 @@ func (s *cCont) Step(c *simkernel.ContProc) bool {
 			if !s.close.Step(c) {
 				return false
 			}
-			s.done.Done()
+			st.cDone.Done()
 			return true
 		}
 	}

@@ -69,6 +69,11 @@ type World struct {
 	procNames   []string //repro:reset-skip immutable once formatted for procNameFor
 	procNameFor string   //repro:reset-skip cache key for procNames
 
+	// arena is the world's step arena: transports park their finished
+	// step-private state here (Park) and take it back for their next step
+	// (Unpark), one slot per transport key.
+	arena []arenaSlot //repro:reset-skip step arena: parked state is inert (every process that used it has finished) and its transport re-arms it on Unpark, so it outlives Reset to serve the next replica
+
 	// Stats
 	MessagesSent int
 }
@@ -191,6 +196,38 @@ func (w *World) names(name string) []string {
 		w.procNameFor = name
 	}
 	return w.procNames
+}
+
+// arenaSlot is one transport's parked step state.
+type arenaSlot struct {
+	key, val any
+}
+
+// Park leaves a transport's finished step state in the world's step arena
+// under key, replacing what key held. Every process that used the state
+// must have finished: the next Unpark hands it to a new step as is. The
+// arena belongs to the world and survives Reset, so a pooled world's next
+// replica reuses the state instead of rebuilding it.
+func (w *World) Park(key, val any) {
+	for i := range w.arena {
+		if w.arena[i].key == key {
+			w.arena[i].val = val
+			return
+		}
+	}
+	w.arena = append(w.arena, arenaSlot{key: key, val: val})
+}
+
+// Unpark removes and returns the state parked under key, or nil.
+func (w *World) Unpark(key any) any {
+	for i := range w.arena {
+		if w.arena[i].key == key {
+			v := w.arena[i].val
+			w.arena[i].val = nil
+			return v
+		}
+	}
+	return nil
 }
 
 // Launch spawns one simulation process per rank running fn. It returns a

@@ -45,7 +45,8 @@ type stepCont struct {
 }
 
 // BeginStepCont implements iomethod.Method. It only arms the machine;
-// all simulation work happens in Step.
+// all simulation work happens in Step. A recycled machine keeps its write
+// and flush ops' scratch.
 func (m *Method) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.RankData) iomethod.StepCont {
 	st := m.getStep(stepName)
 	rank := r.Rank()
@@ -55,6 +56,7 @@ func (m *Method) BeginStepCont(r *mpisim.Rank, stepName string, data iomethod.Ra
 	*s = stepCont{
 		m: m, st: st, rank: rank, data: data,
 		cohort: cohort, lo: lo, hi: hi, leader: rank == lo,
+		write: s.write, flush: s.flush,
 	}
 	return s
 }
@@ -99,8 +101,9 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 				st.offsets[i] = off
 				off += stripe
 			}
-			s.create.BeginCreate(m.fs, fileName(st.name, s.cohort, m.cfg.SplitFiles),
-				pfs.Layout{OSTs: m.cohortOSTs(s.cohort), StripeSize: stripe})
+			st.osts = m.appendCohortOSTs(st.osts[:0], s.cohort)
+			s.create.BeginCreate(m.fs, st.fileNames[s.cohort],
+				pfs.Layout{OSTs: st.osts, StripeSize: stripe})
 			s.pc = 2
 		case 2:
 			if !s.create.Step(c) {
@@ -169,7 +172,7 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			if !st.writersWG[s.cohort].WaitCont(c) {
 				return false
 			}
-			li := bp.LocalIndex{File: fileName(st.name, s.cohort, m.cfg.SplitFiles)}
+			li := bp.LocalIndex{File: st.fileNames[s.cohort]}
 			n, nd := 0, 0
 			for i := s.lo; i < s.hi; i++ {
 				n += len(st.dataOf[i].Vars)
@@ -240,11 +243,11 @@ func (s *stepCont) Step(c *simkernel.ContProc) bool {
 			if el := (c.Now() - st.t0).Seconds(); el > st.res.Elapsed {
 				st.res.Elapsed = el
 			}
+			s.res = st.res
 			st.returned++
 			if st.returned == m.w.Size() {
-				delete(m.steps, st.name)
+				m.finish(st)
 			}
-			s.res = st.res
 			return true
 		}
 	}
