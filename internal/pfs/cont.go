@@ -149,7 +149,7 @@ func (s *ostFlush) step(c *simkernel.ContProc) bool {
 		if o.cacheLevel <= completionEps {
 			return true
 		}
-		o.waiters = append(o.waiters, flushWaiter{watermark: o.ingestedTotal, wake: c.Waker()})
+		o.waiters.Push(flushWaiter{watermark: o.ingestedTotal, wake: c.Waker()})
 		o.recompute()
 		s.pc = 1
 		c.Pause()
