@@ -101,7 +101,7 @@ func TestPoolOwnMutation(t *testing.T) {
 	if idx < 0 {
 		t.Fatalf("mutation anchor %q not found in %s", anchor, target)
 	}
-	const dropped = "a.pool.put(env)"
+	const dropped = "st.pool.put(env)"
 	tail := string(src[idx:])
 	if !strings.Contains(tail, dropped) {
 		t.Fatalf("%q not found after the anchor in %s", dropped, target)
