@@ -54,8 +54,9 @@
 // Wire messages are pooled *scMsg envelopes: pointer-shaped, so sending one
 // through mpisim's `any` payload never boxes, and each in-flight message
 // owns its envelope (fan-out sends two), with the receiver returning it to
-// the pool after handling. Kernel.OnReset sweeps the free list so recycled
-// worlds drop any index slices the envelopes still reference. Steady-state
+// the pool after handling; put zeroes an envelope, so the free list holds
+// no index slices. The pool belongs to the step's state and is recycled
+// with it through the world's step arena (adaptive.go). Steady-state
 // SC/writer exchange is allocation-free (TestSCPumpZeroAlloc).
 //
 // Delivery order: rank messages travel through mpisim's latency-stamped

@@ -81,6 +81,15 @@ func TestStripeCapAt160(t *testing.T) {
 	if got := len(m.StripeTargets()); got != 160 {
 		t.Fatalf("stripe targets = %d, want the Lustre 1.6 cap of 160", got)
 	}
+	// A cohort starts at its own share of the targets; the cap then
+	// truncates it: the second of two files starts at target 256.
+	split, err := New(w, fs, Config{SplitFiles: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := split.cohortOSTs(1); len(got) != 160 || got[0] != 256 {
+		t.Fatalf("second cohort's targets start at %d (%d of them), want 160 from 256", got[0], len(got))
+	}
 	k.Shutdown()
 }
 
