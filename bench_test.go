@@ -143,44 +143,30 @@ func BenchmarkFig3Imbalance(b *testing.B) {
 
 // --- Section IV ------------------------------------------------------------
 
-// benchEval runs one MPI + one adaptive sample of a workload per iteration
-// and reports the mean adaptive-over-MPI speedup (the paper's headline).
+// benchEval runs b.N MPI and b.N adaptive samples of a workload and
+// reports the adaptive-over-MPI speedup of the mean bandwidths (the
+// paper's headline).
 func benchEval(b *testing.B, gen workloads.Generator, procs int, cond experiments.Condition) {
 	b.Helper()
-	// One pool for the whole benchmark: every campaign reuses the same 84-OST
-	// Jaguar world instead of rebuilding it (REPRO_NO_REUSE=1 restores the
-	// build-fresh baseline).
-	pool := cluster.NewPool()
-	defer pool.Close()
-	var mpiSum, adaSum float64
-	for i := 0; i < b.N; i++ {
-		for _, method := range []adios.Method{adios.MethodMPI, adios.MethodAdaptive} {
-			osts := firstN(64)
-			if method == adios.MethodMPI {
-				osts = firstN(20) // the 160-of-512 limit at 1/8 scale
-			}
-			r, err := experiments.RunCampaign(experiments.CampaignOptions{
-				Writers:    procs,
-				Method:     method,
-				MethodOSTs: osts,
-				Condition:  cond,
-				Seed:       int64(i) * 31,
-				PerRank:    gen.PerRank,
-				NumOSTs:    84,
-				Pool:       pool,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if method == adios.MethodMPI {
-				mpiSum += r.AggregateBW
-			} else {
-				adaSum += r.AggregateBW
-			}
-		}
+	// One run on one worker: every replica reuses the same pooled 84-OST
+	// Jaguar world instead of rebuilding it.
+	er, err := experiments.EvaluateWorkload(gen, "eval-bench", experiments.EvalOptions{
+		ProcCounts:   []int{procs},
+		Samples:      b.N,
+		MPIOSTs:      20, // the 160-of-512 limit at 1/8 scale
+		AdaptiveOSTs: 64,
+		NumOSTs:      84,
+		Conditions:   []experiments.Condition{cond},
+		Seed:         31,
+		Parallel:     1,
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
-	if mpiSum > 0 {
-		b.ReportMetric(adaSum/mpiSum, "speedup-x")
+	mpi := metrics.Summarize(er.BWSamples[experiments.CaseKey{Method: adios.MethodMPI, Condition: cond, Procs: procs}]).Mean
+	ada := metrics.Summarize(er.BWSamples[experiments.CaseKey{Method: adios.MethodAdaptive, Condition: cond, Procs: procs}]).Mean
+	if mpi > 0 {
+		b.ReportMetric(ada/mpi, "speedup-x")
 	}
 }
 

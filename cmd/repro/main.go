@@ -20,7 +20,11 @@
 // print to stdout unless -out is given:
 //
 //	repro -scenario fig1 -set osts=32 -set samples=4
+//	repro -scenario machine-probe -set machine=franklin
 //	repro -scenario examples/custom.json -set procs=32
+//
+// -trace captures a per-target activity timeline of one replica, and
+// -cpuprofile/-memprofile profile the run.
 //
 // Campaigns run on a replica worker pool (-parallel, default all cores) with
 // results bit-identical to a sequential run; -seq-baseline additionally
@@ -39,7 +43,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/profiling"
 	"repro/internal/scenario"
-	"repro/internal/scenario/scenariocli"
 )
 
 // paperRuns lists the registered scenarios behind the paper's artifacts in
@@ -62,35 +65,67 @@ var paperRuns = []struct {
 // errors.
 const onlyKeys = "fig1,table1,fig2,fig3,fig5,fig6,fig7"
 
+// multiFlag collects a repeatable string flag (-set key=value ...).
+type multiFlag []string
+
+func (m *multiFlag) String() string { return strings.Join(*m, ",") }
+
+func (m *multiFlag) Set(v string) error {
+	*m = append(*m, v)
+	return nil
+}
+
 // config is the parsed command line.
 type config struct {
-	cli     *scenariocli.Flags
-	only    string
-	seqBase bool
+	scenario      string
+	sets          multiFlag
+	mode          string
+	out           string
+	seed          int64
+	parallel      int
+	trace         bool
+	traceInterval float64
+	tracePoint    string
+	traceSample   int
+	cpuProfile    string
+	memProfile    string
+	only          string
+	seqBase       bool
 }
 
 // parseArgs parses the command line. -out defaults to results/ for preset
 // runs and to stdout for -scenario runs.
 func parseArgs(args []string) config {
 	fs := flag.NewFlagSet("repro", flag.ExitOnError)
-	c := config{cli: scenariocli.Register(fs)}
-	fs.Lookup("out").Usage = "output directory (default results for -mode runs, stdout for -scenario runs)"
+	var c config
+	fs.StringVar(&c.scenario, "scenario", "",
+		"run a scenario: a registered name ("+strings.Join(scenario.Names(), ", ")+") or a JSON spec file")
+	fs.Var(&c.sets, "set", "override a spec field or axis, key=value (repeatable)")
+	fs.StringVar(&c.mode, "mode", "quick", "preset mode: quick | full")
+	fs.StringVar(&c.out, "out", "", "output directory (default results for -mode runs, stdout for -scenario runs)")
+	fs.Int64Var(&c.seed, "seed", 42, "master seed")
+	fs.IntVar(&c.parallel, "parallel", 0, "replica workers (0 = all cores, 1 = sequential)")
+	fs.BoolVar(&c.trace, "trace", false, "capture an activity trace of one replica")
+	fs.Float64Var(&c.traceInterval, "trace-interval", 1, "trace sampling interval in simulated seconds")
+	fs.StringVar(&c.tracePoint, "trace-point", "", "grid-point label to trace (default: first point)")
+	fs.IntVar(&c.traceSample, "trace-sample", 0, "sample index to trace")
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to this file on exit")
 	fs.StringVar(&c.only, "only", "", "comma list to restrict a -mode run: "+onlyKeys)
 	fs.BoolVar(&c.seqBase, "seq-baseline", false, "rerun each campaign sequentially and report the parallel speedup")
 	_ = fs.Parse(args) // ExitOnError: a bad command line exits here
 	outGiven := false
 	fs.Visit(func(f *flag.Flag) { outGiven = outGiven || f.Name == "out" })
-	if !outGiven && !c.cli.ScenarioRequested() {
-		c.cli.Out = "results"
+	if !outGiven && c.scenario == "" {
+		c.out = "results"
 	}
 	return c
 }
 
 func main() {
 	c := parseArgs(os.Args[1:])
-	cli := c.cli
 
-	stopProf, err := cli.StartProfiling()
+	stopProf, err := profiling.Start(c.cpuProfile, c.memProfile)
 	if err != nil {
 		fatal(err)
 	}
@@ -100,17 +135,84 @@ func main() {
 		}
 	}()
 
-	if cli.ScenarioRequested() {
-		if err := cli.RunScenario("repro"); err != nil {
+	if c.scenario != "" {
+		if err := runScenario(c); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
-	if err := writeArtifacts(cli.Mode, cli.Out, cli.Seed, cli.Parallel, c.only, c.seqBase); err != nil {
+	if err := writeArtifacts(c.mode, c.out, c.seed, c.parallel, c.only, c.seqBase); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("artifacts written to %s/\n", cli.Out)
+	fmt.Printf("artifacts written to %s/\n", c.out)
+}
+
+// runScenario resolves -scenario, applies the -set overrides, runs the
+// spec and emits the artifacts: a registered definition renders its
+// canonical tables and figures, a file spec the generic per-point summary.
+// Artifacts go to -out as files (plus summary lines on stdout), or all to
+// stdout when -out is empty.
+func runScenario(c config) error {
+	s, def, err := scenario.Load(c.scenario, c.mode)
+	if err != nil {
+		return err
+	}
+	for _, assignment := range c.sets {
+		if err := scenario.ApplySet(&s, assignment); err != nil {
+			return err
+		}
+	}
+	ropt := scenario.RunOptions{Seed: c.seed, Parallel: c.parallel}
+	if c.trace {
+		ropt.Trace = &scenario.TraceOptions{
+			IntervalSeconds: c.traceInterval,
+			Point:           c.tracePoint,
+			Sample:          c.traceSample,
+		}
+	}
+	res, err := scenario.Run(s, ropt)
+	if err != nil {
+		return err
+	}
+
+	stem := strings.ReplaceAll(s.Name, "/", "-") // "eval/gtc" → "eval-gtc"
+	var artifacts []scenario.Artifact
+	var summary []string
+	if def != nil && def.Render != nil {
+		artifacts, summary, err = def.Render(res, ropt)
+		if err != nil {
+			return err
+		}
+	} else {
+		tbl := res.Table()
+		artifacts = []scenario.Artifact{{Name: stem + ".txt", Text: tbl.Render()}}
+		summary = res.Summary()
+	}
+	if res.Trace != nil {
+		artifacts = append(artifacts, scenario.Artifact{Name: stem + ".trace.txt", Text: res.Trace.Render()})
+	}
+
+	if c.out == "" {
+		for _, a := range artifacts {
+			fmt.Printf("== %s ==\n%s\n", a.Name, a.Text)
+		}
+	} else {
+		if err := os.MkdirAll(c.out, 0o755); err != nil {
+			return err
+		}
+		for _, a := range artifacts {
+			path := filepath.Join(c.out, a.Name)
+			if err := os.WriteFile(path, []byte(a.Text), 0o644); err != nil {
+				return err
+			}
+			fmt.Printf("repro: wrote %s\n", path)
+		}
+	}
+	for _, line := range summary {
+		fmt.Println(line)
+	}
+	return nil
 }
 
 // selectKeys parses -only into the set of selected artifact stems (empty =

@@ -76,21 +76,21 @@ func TestUnknownOnlyKeyWritesNothing(t *testing.T) {
 // TestModeRunsDefaultToResults pins the preset-run default: artifacts go
 // to results/ unless -out says otherwise.
 func TestModeRunsDefaultToResults(t *testing.T) {
-	if c := parseArgs([]string{"-mode", "quick"}); c.cli.Out != "results" {
-		t.Errorf("-mode run: -out defaults to %q, want results", c.cli.Out)
+	if c := parseArgs([]string{"-mode", "quick"}); c.out != "results" {
+		t.Errorf("-mode run: -out defaults to %q, want results", c.out)
 	}
-	if c := parseArgs([]string{"-mode", "quick", "-out", ""}); c.cli.Out != "" {
-		t.Errorf("-mode run with -out \"\": got %q", c.cli.Out)
+	if c := parseArgs([]string{"-mode", "quick", "-out", ""}); c.out != "" {
+		t.Errorf("-mode run with -out \"\": got %q", c.out)
 	}
 }
 
 // TestScenarioRunsDefaultToStdout pins the -scenario default: output goes
 // to stdout, so a one-off run never overwrites the checked-in results/.
 func TestScenarioRunsDefaultToStdout(t *testing.T) {
-	if c := parseArgs([]string{"-scenario", "fig1", "-set", "osts=32"}); c.cli.Out != "" {
-		t.Errorf("-scenario run: -out defaults to %q, want stdout", c.cli.Out)
+	if c := parseArgs([]string{"-scenario", "fig1", "-set", "osts=32"}); c.out != "" {
+		t.Errorf("-scenario run: -out defaults to %q, want stdout", c.out)
 	}
-	if c := parseArgs([]string{"-scenario", "fig1", "-out", "dir"}); c.cli.Out != "dir" {
-		t.Errorf("-scenario run with -out dir: got %q", c.cli.Out)
+	if c := parseArgs([]string{"-scenario", "fig1", "-out", "dir"}); c.out != "dir" {
+		t.Errorf("-scenario run with -out dir: got %q", c.out)
 	}
 }

@@ -17,8 +17,8 @@
 //
 // Campaigns (many independent replicas of a simulation) run concurrently on
 // internal/runner's worker pool with results bit-identical to sequential
-// execution; all experiment drivers and CLIs expose this via Parallel
-// options and -parallel flags.
+// execution; all experiment drivers and the repro CLI expose this via
+// Parallel options and the -parallel flag.
 //
 // Every experiment is described by a declarative spec (internal/scenario):
 // machine, workload, transport, interference model, grid axes, and sample

@@ -18,19 +18,9 @@
 // Each driver is a thin builder of a declarative spec (internal/scenario)
 // plus a demux of the generic run back into its canonical tables and
 // figures; register.go exposes the same drivers through the scenario
-// registry for the CLIs' -scenario flag. Seed labels and grid-point labels
+// registry for the CLI's -scenario flag. Seed labels and grid-point labels
 // are part of the reproducibility contract and must not change.
 package experiments
-
-import (
-	"fmt"
-
-	"repro/adios"
-	"repro/cluster"
-	"repro/internal/iomethod"
-	"repro/internal/runner"
-	"repro/internal/scenario"
-)
 
 // Condition labels the two evaluation environments of Section IV.
 type Condition string
@@ -43,91 +33,6 @@ const (
 	// continuously writing 1 GB chunks, 3 per target across 8 targets.
 	Interference Condition = "interference"
 )
-
-// CampaignOptions configures one application IO measurement run.
-type CampaignOptions struct {
-	// Machine preset name (default "jaguar").
-	Machine string
-	// Writers is the application's process count.
-	Writers int
-	// Method selects the transport.
-	Method adios.Method
-	// MethodOSTs restricts the transport's storage targets (nil = all for
-	// adaptive, stripe-capped for MPI).
-	MethodOSTs []int
-	// Condition selects base or artificial-interference environment.
-	Condition Condition
-	// ProductionNoise toggles background noise (the paper's runs are on a
-	// production machine, so default true).
-	NoNoise bool
-	// Seed differentiates samples.
-	Seed int64
-	// PerRank produces each rank's output data.
-	PerRank func(rank int) iomethod.RankData
-	// NumOSTs optionally scales the machine down (0 = preset size).
-	NumOSTs int
-	// Pool, if non-nil, supplies a reusable simulation world for this
-	// campaign (reset between rentals); nil builds a fresh world.
-	Pool *cluster.Pool
-}
-
-// CampaignResult is one sample's outcome.
-type CampaignResult struct {
-	Elapsed     float64   // seconds for the whole collective output
-	AggregateBW float64   // bytes/sec
-	WriterTimes []float64 // per-rank seconds
-	TotalBytes  float64
-	Adaptive    int // adaptive (redirected) writes
-}
-
-// RunCampaign executes one collective output step of an application under
-// the given environment and returns its measurements. It is a thin adapter
-// over scenario.ExecCampaign — the single execution path every app-kind
-// replica goes through.
-func RunCampaign(opt CampaignOptions) (CampaignResult, error) {
-	smp, err := scenario.ExecCampaign(scenario.CampaignConfig{
-		Machine:      opt.Machine,
-		Writers:      opt.Writers,
-		NumOSTs:      opt.NumOSTs,
-		NoNoise:      opt.NoNoise,
-		Seed:         opt.Seed,
-		IO:           adios.Options{Method: opt.Method, OSTs: opt.MethodOSTs},
-		PerRank:      opt.PerRank,
-		Interference: opt.Condition == Interference,
-		Pool:         opt.Pool,
-	})
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	return CampaignResult{
-		Elapsed:     smp.Elapsed,
-		AggregateBW: smp.AggregateBW,
-		WriterTimes: smp.WriterTimes,
-		TotalBytes:  smp.TotalBytes,
-		Adaptive:    smp.AdaptiveWrites,
-	}, nil
-}
-
-// RunCampaigns executes a batch of independent campaigns on a worker pool
-// (parallel: 1 = sequential, <=0 = all cores) and returns their results in
-// input order, regardless of completion order. Each CampaignOptions must
-// carry its own Seed — typically derived via runner.ReplicaKey.Seed — since
-// every campaign is its own simulated world. On failure the earliest failed
-// campaign's error (in input order) is returned with its index attached.
-func RunCampaigns(opts []CampaignOptions, parallel int) ([]CampaignResult, error) {
-	keys := make([]runner.ReplicaKey, len(opts))
-	for i, o := range opts {
-		keys[i] = runner.ReplicaKey{
-			Driver: "campaign",
-			Point:  fmt.Sprintf("%s/%s/writers=%d", o.Method, o.Condition, o.Writers),
-			Sample: i,
-		}
-	}
-	byIndex := func(k runner.ReplicaKey) (CampaignResult, error) {
-		return RunCampaign(opts[k.Sample])
-	}
-	return runner.Run(runner.Options{Parallel: parallel}, keys, byIndex)
-}
 
 // firstN returns [0, 1, ..., n).
 func firstN(n int) []int {

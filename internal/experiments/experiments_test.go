@@ -221,22 +221,6 @@ func TestFig7Reduction(t *testing.T) {
 	}
 }
 
-func TestRunCampaignValidation(t *testing.T) {
-	if _, err := RunCampaign(CampaignOptions{}); err == nil {
-		t.Error("zero campaign accepted")
-	}
-	if _, err := RunCampaign(CampaignOptions{Writers: 2}); err == nil {
-		t.Error("campaign without generator accepted")
-	}
-	if _, err := RunCampaign(CampaignOptions{
-		Writers: 2,
-		Machine: "nonesuch",
-		PerRank: workloads.XGC1Gen().PerRank,
-	}); err == nil {
-		t.Error("bad machine accepted")
-	}
-}
-
 func TestMetadataStudyStaggerHelps(t *testing.T) {
 	res, err := MetadataStudy(MetadataOptions{
 		Writers:  64,

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/adios"
 	"repro/internal/workloads"
 )
 
@@ -105,34 +104,5 @@ func TestFig1ParallelBitIdentical(t *testing.T) {
 	if seq.Aggregate.Render() != par.Aggregate.Render() ||
 		seq.PerWriter.Render() != par.PerWriter.Render() {
 		t.Error("rendered figures diverged between 1 and 8 workers")
-	}
-}
-
-// TestRunCampaignsOrderAndDeterminism covers the batch API: results come
-// back in input order and match one-at-a-time execution exactly.
-func TestRunCampaignsOrderAndDeterminism(t *testing.T) {
-	gen := workloads.XGC1Gen()
-	var batch []CampaignOptions
-	for i := 0; i < 6; i++ {
-		batch = append(batch, CampaignOptions{
-			Writers: 16,
-			Method:  adios.MethodAdaptive,
-			Seed:    int64(100 + i),
-			PerRank: gen.PerRank,
-			NumOSTs: 8,
-		})
-	}
-	par, err := RunCampaigns(batch, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range batch {
-		single, err := RunCampaign(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(single, par[i]) {
-			t.Errorf("campaign %d diverged from sequential execution", i)
-		}
 	}
 }

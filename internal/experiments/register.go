@@ -79,6 +79,17 @@ func init() {
 			return []scenario.Artifact{{Name: "metadata.txt", Text: md.Table.Render()}}, nil, nil
 		},
 	})
+	scenario.Register(scenario.Definition{
+		Name:        "machine-probe",
+		Description: "Machine characterisation probes of one preset (-set machine=NAME)",
+		Spec: func(mode string) (scenario.Scenario, error) {
+			if err := checkMode(mode); err != nil {
+				return scenario.Scenario{}, err
+			}
+			return MachineProbeScenario(), nil
+		},
+		Render: renderMachineProbe,
+	})
 }
 
 // presetSpec adapts a driver's preset and spec builder to a Definition's

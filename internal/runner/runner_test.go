@@ -21,7 +21,7 @@ func testKeys(points, samples int) []ReplicaKey {
 func TestRunCollectsInKeyOrder(t *testing.T) {
 	keys := testKeys(8, 16)
 	for _, parallel := range []int{1, 2, 8, 64} {
-		got, err := Run(Options{Parallel: parallel}, keys, func(k ReplicaKey) (string, error) {
+		got, err := RunWorkers(Options{Parallel: parallel}, keys, func(k ReplicaKey, _ any) (string, error) {
 			return k.String(), nil
 		})
 		if err != nil {
@@ -43,7 +43,7 @@ func TestRunCollectsInKeyOrder(t *testing.T) {
 // count, because seeds come from keys, never from scheduling order.
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	keys := testKeys(6, 20)
-	replica := func(k ReplicaKey) (float64, error) {
+	replica := func(k ReplicaKey, _ any) (float64, error) {
 		src := rngx.New(k.Seed(42))
 		sum := 0.0
 		for i := 0; i < 100; i++ {
@@ -51,12 +51,12 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 		return sum, nil
 	}
-	seq, err := Run(Options{Parallel: 1}, keys, replica)
+	seq, err := RunWorkers(Options{Parallel: 1}, keys, replica)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, parallel := range []int{2, 4, 8} {
-		par, err := Run(Options{Parallel: parallel}, keys, replica)
+		par, err := RunWorkers(Options{Parallel: parallel}, keys, replica)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestRunReportsEarliestError(t *testing.T) {
 	keys := testKeys(4, 8)
 	boom := errors.New("boom")
-	_, err := Run(Options{Parallel: 8}, keys, func(k ReplicaKey) (int, error) {
+	_, err := RunWorkers(Options{Parallel: 8}, keys, func(k ReplicaKey, _ any) (int, error) {
 		if k.Sample >= 5 {
 			return 0, fmt.Errorf("%w at %s", boom, k)
 		}
@@ -99,7 +99,7 @@ func TestRunContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	keys := testKeys(1, 1000)
 	var ran atomic.Int64
-	_, err := Run(Options{Parallel: 2, Context: ctx}, keys, func(k ReplicaKey) (int, error) {
+	_, err := RunWorkers(Options{Parallel: 2, Context: ctx}, keys, func(k ReplicaKey, _ any) (int, error) {
 		if ran.Add(1) == 10 {
 			cancel()
 		}
@@ -117,7 +117,7 @@ func TestRunProgressMonotonic(t *testing.T) {
 	keys := testKeys(4, 25)
 	var calls int
 	last := 0
-	_, err := Run(Options{
+	_, err := RunWorkers(Options{
 		Parallel: 8,
 		Progress: func(done, total int, k ReplicaKey) {
 			calls++
@@ -129,7 +129,7 @@ func TestRunProgressMonotonic(t *testing.T) {
 			}
 			last = done
 		},
-	}, keys, func(k ReplicaKey) (int, error) { return 0, nil })
+	}, keys, func(k ReplicaKey, _ any) (int, error) { return 0, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,12 +139,12 @@ func TestRunProgressMonotonic(t *testing.T) {
 }
 
 func TestRunEmptyAndDefaults(t *testing.T) {
-	out, err := Run(Options{}, nil, func(k ReplicaKey) (int, error) { return 1, nil })
+	out, err := RunWorkers(Options{}, nil, func(k ReplicaKey, _ any) (int, error) { return 1, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty run: %v, %v", out, err)
 	}
 	// Parallel<=0 defaults to GOMAXPROCS and must still work.
-	out, err = Run(Options{Parallel: -3}, testKeys(2, 2), func(k ReplicaKey) (int, error) {
+	out, err = RunWorkers(Options{Parallel: -3}, testKeys(2, 2), func(k ReplicaKey, _ any) (int, error) {
 		return k.Sample, nil
 	})
 	if err != nil || len(out) != 4 {

@@ -165,11 +165,13 @@ type replicaCfg struct {
 	stagger time.Duration
 
 	// app knobs. perRank is the point's resolved generator, shared by
-	// every replica of the point so its per-rank memo spans the run.
+	// every replica of the point so its per-rank memo spans the run;
+	// stepName is the output step's name, formatted once per run.
 	procs     int
 	perRank   func(rank int) iomethod.RankData
 	method    string
 	transport Transport
+	stepName  string
 
 	// jobmix knobs: the resolved concurrent jobs and the canonical
 	// world-shape key that partitions the reuse pool.
@@ -199,14 +201,17 @@ type jobCfg struct {
 	names []string
 }
 
-// resolve is one grid point's execution configuration: bind, then the job
-// mix's names. Run resolves every point once, after Validate, so no replica
-// formats a name; Validate binds without naming, which keeps a spec load
-// as cheap as the checks it makes.
+// resolve is one grid point's execution configuration: bind, then the app
+// step's and the job mix's names. Run resolves every point once, after
+// Validate, so no replica formats a name; Validate binds without naming,
+// which keeps a spec load as cheap as the checks it makes.
 func (s *Scenario) resolve(p Params) (replicaCfg, error) {
 	c, err := s.bind(p)
 	if err != nil {
 		return c, err
+	}
+	if c.kind == KindApp {
+		c.stepName = fmt.Sprintf("%s.out", c.transport.Method)
 	}
 	for i := range c.jobs {
 		c.jobs[i].names = jobNames(c.jobs[i])
@@ -321,10 +326,8 @@ func (s *Scenario) bind(p Params) (replicaCfg, error) {
 
 	switch c.kind {
 	case KindApp:
-		switch c.method {
-		case "", "MPI", "POSIX", "ADAPTIVE", "STAGING":
-		default:
-			return c, fmt.Errorf("unknown transport method %q (want MPI | POSIX | ADAPTIVE | STAGING)", c.method)
+		if err := checkMethod(c.method); err != nil {
+			return c, err
 		}
 		if c.procs <= 0 {
 			return c, fmt.Errorf("app workload needs a positive process count")
@@ -356,6 +359,16 @@ func (s *Scenario) bind(p Params) (replicaCfg, error) {
 		return c, fmt.Errorf("unknown workload kind %q", c.kind)
 	}
 	return c, nil
+}
+
+// checkMethod rejects a transport method the middleware does not provide
+// ("" selects its default).
+func checkMethod(method string) error {
+	switch method {
+	case "", "MPI", "POSIX", "ADAPTIVE", "STAGING":
+		return nil
+	}
+	return fmt.Errorf("unknown transport method %q (want MPI | POSIX | ADAPTIVE | STAGING)", method)
 }
 
 // workloadKind resolves the spec's workload kind, defaulting to jobmix when
@@ -424,10 +437,8 @@ func (s *Scenario) resolveJobs(c *replicaCfg, p Params) error {
 			if p.Has("method") || jc.transport.Method == "" {
 				jc.transport.Method = c.method
 			}
-			switch jc.transport.Method {
-			case "", "MPI", "POSIX", "ADAPTIVE", "STAGING":
-			default:
-				return fmt.Errorf("job %q: unknown transport method %q (want MPI | POSIX | ADAPTIVE | STAGING)", jc.name, jc.transport.Method)
+			if err := checkMethod(jc.transport.Method); err != nil {
+				return fmt.Errorf("job %q: %w", jc.name, err)
 			}
 			if js.Generator == "" {
 				return fmt.Errorf("job %q: app job needs a generator", jc.name)

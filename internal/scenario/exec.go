@@ -7,7 +7,6 @@ import (
 	"repro/adios"
 	"repro/cluster"
 	"repro/internal/interference"
-	"repro/internal/iomethod"
 	"repro/internal/ior"
 	"repro/internal/pfs"
 	"repro/internal/rngx"
@@ -73,86 +72,26 @@ func (s Sample) MeanPerWriterBW() float64 { return stats.Summarize(s.PerWriterBW
 // ImbalanceFactor returns slowest/fastest over the writer times.
 func (s Sample) ImbalanceFactor() float64 { return stats.ImbalanceFactor(s.WriterTimes) }
 
-// CampaignConfig is one application campaign replica: the app workload
-// kind's execution input, exported so internal/experiments.RunCampaign can
-// delegate to the same single path.
-type CampaignConfig struct {
-	// Machine preset name (default "jaguar").
-	Machine string
-	// Writers is the application's process count.
-	Writers int
-	// NumOSTs optionally scales the machine down (0 = preset size).
-	NumOSTs int
-	// NoNoise disables production background noise.
-	NoNoise bool
-	// Seed drives the replica's world.
-	Seed int64
-	// IO configures the transport.
-	IO adios.Options
-	// PerRank produces each rank's output data.
-	PerRank func(rank int) iomethod.RankData
-	// Interference enables the artificial interference program, tuned by
-	// the three knobs below (zero values = the paper's 8 × 3 × 1 GB).
-	Interference            bool
-	InterferenceOSTs        []int
-	InterferenceProcsPerOST int
-	InterferenceChunkBytes  float64
-	// SlowOSTs degrade targets deterministically before the run.
-	SlowOSTs []SlowOST
-	// Failures scripts deterministic storage failures for the replica.
-	Failures interference.FailureConfig
-	// Pool, if non-nil, supplies the replica's world (reset, not rebuilt).
-	// A nil Pool builds and tears down a fresh world — the two paths are
-	// bit-identical by the world-reuse determinism contract.
-	Pool *cluster.Pool
-}
-
-// ExecCampaign executes one collective output step of an application under
-// the given environment and returns its measurements.
-func ExecCampaign(cfg CampaignConfig) (Sample, error) {
-	return execCampaign(cfg, nil)
-}
-
-func execCampaign(cfg CampaignConfig, tc *traceCapture) (Sample, error) {
-	if cfg.Machine == "" {
-		cfg.Machine = "jaguar"
-	}
-	if cfg.Writers <= 0 {
-		return Sample{}, fmt.Errorf("scenario: campaign writers must be positive")
-	}
-	if cfg.PerRank == nil {
-		return Sample{}, fmt.Errorf("scenario: campaign needs a per-rank generator")
-	}
-	var art *interference.ArtificialConfig
-	if cfg.Interference {
-		// The paper's artificial interference: stripe count 8 (two
-		// applications at the default stripe count of 4), three 1 GB
-		// writers per target.
-		art = &interference.ArtificialConfig{OSTs: cfg.InterferenceOSTs, ProcsPerOST: cfg.InterferenceProcsPerOST, ChunkBytes: cfg.InterferenceChunkBytes}
-	}
-	c, release, err := rentWorld(cfg.Pool, cfg.Machine, cluster.Config{
-		Seed:            cfg.Seed,
-		NumOSTs:         cfg.NumOSTs,
-		ProductionNoise: !cfg.NoNoise,
-		Failures:        cfg.Failures,
-	}, cfg.SlowOSTs, art, tc)
+// execCampaign executes one collective output step of the point's
+// application on its transport and returns its measurements.
+func (s *Scenario) execCampaign(cfg replicaCfg, seed int64, pool *cluster.Pool, tc *traceCapture) (Sample, error) {
+	c, release, err := s.rent(cfg, seed, pool, tc)
 	if err != nil {
 		return Sample{}, err
 	}
 	defer release()
 
-	w := c.NewWorld(cfg.Writers)
-	io, err := adios.NewIO(c, w, cfg.IO)
+	w := c.NewWorld(cfg.procs)
+	io, err := adios.NewIO(c, w, cfg.transport.adiosOptions())
 	if err != nil {
 		return Sample{}, err
 	}
 
 	var out campaignOut
-	stepName := fmt.Sprintf("%s.out", cfg.IO.Method)
 	// One slab per replica instead of one heap object per rank.
-	conts := make([]campaignCont, cfg.Writers)
+	conts := make([]campaignCont, cfg.procs)
 	j := w.LaunchCont(func(i int) cluster.RankCont {
-		conts[i] = campaignCont{io: io, stepName: stepName, perRank: cfg.PerRank, out: &out}
+		conts[i] = campaignCont{io: io, stepName: cfg.stepName, perRank: cfg.perRank, out: &out}
 		return &conts[i]
 	})
 	c.RunUntilDone(j)
@@ -207,22 +146,7 @@ func (s *Scenario) failureConfig(on bool) interference.FailureConfig {
 func (s *Scenario) execReplica(cfg replicaCfg, seed int64, pool *cluster.Pool, tc *traceCapture) (Sample, error) {
 	switch cfg.kind {
 	case KindApp:
-		return execCampaign(CampaignConfig{
-			Machine:                 cfg.machine,
-			Writers:                 cfg.procs,
-			NumOSTs:                 cfg.numOSTs,
-			NoNoise:                 !cfg.noise,
-			Seed:                    seed,
-			IO:                      cfg.transport.adiosOptions(),
-			PerRank:                 cfg.perRank,
-			Interference:            cfg.condition == ConditionInterference,
-			InterferenceOSTs:        s.Interference.OSTs,
-			InterferenceProcsPerOST: s.Interference.ProcsPerOST,
-			InterferenceChunkBytes:  s.Interference.ChunkMB * pfs.MB,
-			SlowOSTs:                s.Interference.SlowOSTs,
-			Failures:                s.failureConfig(cfg.failures),
-			Pool:                    pool,
-		}, tc)
+		return s.execCampaign(cfg, seed, pool, tc)
 	case KindIOR:
 		return s.execIOR(cfg, seed, pool, tc)
 	case KindPairedIOR:
@@ -482,14 +406,20 @@ func (s *Scenario) execJobMix(cfg replicaCfg, seed int64, pool *cluster.Pool, tc
 	return out, nil
 }
 
-// rentWorld is every executor's prelude: rent the replica's world from
-// pool, degrade the slow targets, start the artificial interference
-// program when art is non-nil, and attach the tracer. Defer the returned
-// release: it captures the trace while the world is still live, then
-// returns the world to the pool.
-func rentWorld(pool *cluster.Pool, machine string, cc cluster.Config, slow []SlowOST,
-	art *interference.ArtificialConfig, tc *traceCapture) (*cluster.Cluster, func(), error) {
-	c, err := pool.Rent(machine, cc)
+// rent is every executor's prelude: rent the replica's world from pool
+// for the point's machine and failure script, degrade the slow targets,
+// start the artificial interference program when the point's condition
+// asks for it, and attach the tracer. Defer the returned release: it
+// captures the trace while the world is still live, then returns the
+// world to the pool.
+func (s *Scenario) rent(cfg replicaCfg, seed int64, pool *cluster.Pool, tc *traceCapture) (*cluster.Cluster, func(), error) {
+	c, err := pool.Rent(cfg.machine, cluster.Config{
+		Seed:            seed,
+		NumOSTs:         cfg.numOSTs,
+		ProductionNoise: cfg.noise,
+		WorldShape:      cfg.shape,
+		Failures:        s.failureConfig(cfg.failures),
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -497,34 +427,19 @@ func rentWorld(pool *cluster.Pool, machine string, cc cluster.Config, slow []Slo
 		tc.finish()
 		pool.Return(c)
 	}
-	if err := applySlow(c, slow); err != nil {
+	if err := applySlow(c, s.Interference.SlowOSTs); err != nil {
 		release()
 		return nil, nil, err
 	}
-	if art != nil {
-		c.StartArtificialInterference(art.OSTs, art.ProcsPerOST, art.ChunkBytes)
+	if cfg.condition == ConditionInterference {
+		// The paper's artificial interference by default: stripe count 8
+		// (two applications at the default stripe count of 4), three 1 GB
+		// writers per target.
+		si := s.Interference
+		c.StartArtificialInterference(si.OSTs, si.ProcsPerOST, si.ChunkMB*pfs.MB)
 	}
 	tc.attach(c)
 	return c, release, nil
-}
-
-// rent is rentWorld over the scenario's declared environment at one
-// resolved point: its machine and failure script, its slow targets and,
-// when the point's condition asks for it, the artificial interference
-// program.
-func (s *Scenario) rent(cfg replicaCfg, seed int64, pool *cluster.Pool, tc *traceCapture) (*cluster.Cluster, func(), error) {
-	var art *interference.ArtificialConfig
-	if cfg.condition == ConditionInterference {
-		si := s.Interference
-		art = &interference.ArtificialConfig{OSTs: si.OSTs, ProcsPerOST: si.ProcsPerOST, ChunkBytes: si.ChunkMB * pfs.MB}
-	}
-	return rentWorld(pool, cfg.machine, cluster.Config{
-		Seed:            seed,
-		NumOSTs:         cfg.numOSTs,
-		ProductionNoise: cfg.noise,
-		WorldShape:      cfg.shape,
-		Failures:        s.failureConfig(cfg.failures),
-	}, s.Interference.SlowOSTs, art, tc)
 }
 
 func applySlow(c *cluster.Cluster, slow []SlowOST) error {

@@ -102,24 +102,23 @@ func TestJobMixDeterminism(t *testing.T) {
 	spec := mixSpec()
 	spec.Samples = 3 // several replicas per worker so pooled Reset actually runs
 
-	run := func(parallel int, noReuse bool) []PointResult {
-		res, err := Run(spec, RunOptions{Seed: 7, Parallel: parallel, NoReuse: noReuse})
+	run := func(parallel int, noReuse string) []PointResult {
+		t.Setenv("REPRO_NO_REUSE", noReuse)
+		res, err := Run(spec, RunOptions{Seed: 7, Parallel: parallel})
 		if err != nil {
-			t.Fatalf("run (parallel=%d noReuse=%v): %v", parallel, noReuse, err)
+			t.Fatalf("run (parallel=%d REPRO_NO_REUSE=%q): %v", parallel, noReuse, err)
 		}
 		return res.Points
 	}
 
-	want := run(1, false)
-	if got := run(8, false); !reflect.DeepEqual(got, want) {
+	want := run(1, "")
+	if got := run(8, ""); !reflect.DeepEqual(got, want) {
 		t.Errorf("8 workers diverged from sequential:\n got %+v\nwant %+v", got, want)
 	}
-	if got := run(2, true); !reflect.DeepEqual(got, want) {
-		t.Errorf("fresh worlds diverged from reused worlds:\n got %+v\nwant %+v", got, want)
-	}
-	t.Setenv("REPRO_NO_REUSE", "1") // the env escape hatch must match too
-	if got := run(4, false); !reflect.DeepEqual(got, want) {
-		t.Errorf("REPRO_NO_REUSE=1 diverged from reused worlds:\n got %+v\nwant %+v", got, want)
+	for _, parallel := range []int{2, 4} {
+		if got := run(parallel, "1"); !reflect.DeepEqual(got, want) {
+			t.Errorf("fresh worlds on %d workers diverged from reused worlds:\n got %+v\nwant %+v", parallel, got, want)
+		}
 	}
 }
 

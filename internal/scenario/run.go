@@ -22,12 +22,6 @@ type RunOptions struct {
 	Progress func(done, total int, key runner.ReplicaKey)
 	// Trace, if set, records a per-OST timeline of one replica.
 	Trace *TraceOptions
-	// NoReuse disables world reuse: every replica builds and tears down a
-	// fresh simulation world instead of renting a reset one from its
-	// worker's pool. Results are bit-identical either way; the switch (and
-	// the REPRO_NO_REUSE environment variable, honoured by cluster.NewPool)
-	// exists for bisection.
-	NoReuse bool
 }
 
 // TraceOptions selects which replica to trace and how often to sample.
@@ -178,20 +172,15 @@ func Run(s Scenario, opt RunOptions) (*Result, error) {
 	// Each worker owns a private pool of reusable worlds; the per-worker
 	// cleanup shuts pooled worlds down on every exit path (including
 	// cancellation). NewPool returns nil under REPRO_NO_REUSE, and a nil
-	// pool rents fresh worlds, so all modes share one execution path.
-	var workerInit func() (any, func())
-	if !opt.NoReuse {
-		workerInit = func() (any, func()) {
+	// pool rents fresh worlds, so both modes share one execution path.
+	results, err := runner.RunWorkers(runner.Options{
+		Parallel: opt.Parallel,
+		Context:  opt.Context,
+		Progress: opt.Progress,
+		WorkerInit: func() (any, func()) {
 			p := cluster.NewPool()
 			return p, func() { p.Close() }
-		}
-	}
-
-	results, err := runner.RunWorkers(runner.Options{
-		Parallel:   opt.Parallel,
-		Context:    opt.Context,
-		Progress:   opt.Progress,
-		WorkerInit: workerInit,
+		},
 	}, keys, func(k runner.ReplicaKey, local any) (Sample, error) {
 		var capture *traceCapture
 		if tc != nil && tc.key == k {

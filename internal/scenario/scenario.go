@@ -6,7 +6,7 @@
 //
 // Every experiment driver in internal/experiments is a thin builder of one
 // of these specs plus a demux of the generic results back into the paper's
-// tables and figures; the CLIs load specs from a validating registry
+// tables and figures; the CLI loads specs from a validating registry
 // (-scenario name) or straight from JSON files (-scenario file.json), with
 // -set axis=value overrides. New workloads, sweeps, fault injection and
 // multi-transport comparisons are therefore data, not code.
